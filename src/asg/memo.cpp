@@ -121,20 +121,22 @@ MemoStats GroundingMemo::stats() const {
 
 void GroundingMemo::clear() {
     for (auto& shard : shards_) {
+        std::list<Entry> released;  // destroyed after the lock is dropped
         obs::ProfiledMutexLock lock(shard->mu);
-        shard->lru.clear();
+        released.swap(shard->lru);
         shard->index.clear();
         shard->bytes = 0;
     }
 }
 
-std::list<GroundingMemo::Entry>::iterator GroundingMemo::find_live(Shard& shard, const Key& key) {
+std::list<GroundingMemo::Entry>::iterator GroundingMemo::find_live(Shard& shard, const Key& key,
+                                                                   std::list<Entry>& released) {
     auto it = shard.index.find(key.hash);
     if (it == shard.index.end()) return shard.lru.end();
     auto entry = it->second;
     if (entry->epoch != epoch()) {
         ++shard.invalidations;
-        erase_entry(shard, entry);
+        erase_entry(shard, entry, released);
         return shard.lru.end();
     }
     if (entry->key.context_lo != key.context_lo || entry->key.context_hi != key.context_hi ||
@@ -144,75 +146,87 @@ std::list<GroundingMemo::Entry>::iterator GroundingMemo::find_live(Shard& shard,
     return entry;
 }
 
-void GroundingMemo::erase_entry(Shard& shard, std::list<Entry>::iterator it) {
+GroundingMemo::Entry& GroundingMemo::upsert(Shard& shard, const Key& key,
+                                            std::list<Entry>& released) {
+    auto it = find_live(shard, key, released);
+    if (it != shard.lru.end()) {
+        shard.lru.splice(shard.lru.begin(), shard.lru, it);  // touch
+        return *it;
+    }
+    auto collided = shard.index.find(key.hash);
+    if (collided != shard.index.end()) erase_entry(shard, collided->second, released);
+    Entry& entry = shard.lru.emplace_front();
+    entry.key = key;
+    entry.epoch = epoch();
+    entry.bytes = key.shape.size() * sizeof(int) + sizeof(Entry);
+    shard.index.emplace(key.hash, shard.lru.begin());
+    shard.bytes += entry.bytes;
+    ++shard.insertions;
+    return entry;
+}
+
+void GroundingMemo::erase_entry(Shard& shard, std::list<Entry>::iterator it,
+                                std::list<Entry>& released) {
     shard.bytes -= it->bytes;
     shard.index.erase(it->key.hash);
-    shard.lru.erase(it);
+    released.splice(released.end(), shard.lru, it);
 }
 
-void GroundingMemo::evict_over_budget(Shard& shard) {
+void GroundingMemo::evict_over_budget(Shard& shard, std::list<Entry>& released) {
     while (shard.bytes > shard_capacity_ && !shard.lru.empty()) {
         ++shard.evictions;
-        erase_entry(shard, std::prev(shard.lru.end()));
+        erase_entry(shard, std::prev(shard.lru.end()), released);
     }
 }
 
-GroundingMemo::Probe GroundingMemo::probe(const Key& key) {
+std::shared_ptr<const GroundedFragment> GroundingMemo::find_fragment(const Key& key) {
+    std::list<Entry> released;
     Shard& shard = shard_for(key.hash);
     obs::ProfiledMutexLock lock(shard.mu);
-    auto it = find_live(shard, key);
-    if (it == shard.lru.end()) {
+    auto it = find_live(shard, key, released);
+    if (it == shard.lru.end() || !it->fragment) {
         ++shard.misses;
-        return {};
+        return nullptr;
     }
     ++shard.hits;
-    if (it->verdict >= 0) ++shard.sat_hits;
     shard.lru.splice(shard.lru.begin(), shard.lru, it);  // touch
-    Probe out;
-    out.fragment = it->fragment;
-    out.program = it->program;
-    out.verdict = it->verdict;
-    return out;
+    return it->fragment;
+}
+
+std::optional<bool> GroundingMemo::find_verdict(const Key& key) {
+    std::list<Entry> released;
+    Shard& shard = shard_for(key.hash);
+    obs::ProfiledMutexLock lock(shard.mu);
+    auto it = find_live(shard, key, released);
+    if (it == shard.lru.end() || it->verdict < 0) {
+        ++shard.misses;
+        return std::nullopt;
+    }
+    ++shard.hits;
+    ++shard.sat_hits;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it);  // touch
+    return it->verdict == 1;
 }
 
 void GroundingMemo::insert(const Key& key, std::shared_ptr<const GroundedFragment> fragment) {
-    std::size_t bytes = fragment ? fragment->bytes : 0;
+    std::list<Entry> released;
     Shard& shard = shard_for(key.hash);
     obs::ProfiledMutexLock lock(shard.mu);
-    auto existing = shard.index.find(key.hash);
-    if (existing != shard.index.end()) erase_entry(shard, existing->second);
-    Entry entry;
-    entry.key = key;
-    entry.epoch = epoch();
-    entry.bytes = bytes + key.shape.size() * sizeof(int) + sizeof(Entry);
-    entry.fragment = std::move(fragment);
-    shard.lru.push_front(std::move(entry));
-    shard.index.emplace(key.hash, shard.lru.begin());
-    shard.bytes += shard.lru.front().bytes;
-    ++shard.insertions;
-    evict_over_budget(shard);
+    Entry& entry = upsert(shard, key, released);
+    if (!entry.fragment && fragment) {
+        entry.bytes += fragment->bytes;
+        shard.bytes += fragment->bytes;
+        entry.fragment = std::move(fragment);
+    }
+    evict_over_budget(shard, released);
 }
 
-void GroundingMemo::attach_program(const Key& key,
-                                   std::shared_ptr<const asp::GroundProgram> program) {
-    std::size_t extra = program ? program->atom_count() * 64 + program->rules().size() * 32 : 0;
+void GroundingMemo::store_verdict(const Key& key, bool satisfiable) {
+    std::list<Entry> released;
     Shard& shard = shard_for(key.hash);
     obs::ProfiledMutexLock lock(shard.mu);
-    auto it = find_live(shard, key);
-    if (it == shard.lru.end()) return;
-    if (it->program) return;
-    it->program = std::move(program);
-    it->bytes += extra;
-    shard.bytes += extra;
-    evict_over_budget(shard);
-}
-
-void GroundingMemo::attach_verdict(const Key& key, bool satisfiable) {
-    Shard& shard = shard_for(key.hash);
-    obs::ProfiledMutexLock lock(shard.mu);
-    auto it = find_live(shard, key);
-    if (it == shard.lru.end()) return;
-    it->verdict = satisfiable ? 1 : 0;
+    upsert(shard, key, released).verdict = satisfiable ? 1 : 0;
+    evict_over_budget(shard, released);
 }
 
 MemoizedGrounding::MemoizedGrounding(GroundingMemo* memo, const AnswerSetGrammar& grammar,
@@ -260,21 +274,23 @@ GroundingMemo::Key MemoizedGrounding::make_key(const cfg::ParseNode& node) const
 std::shared_ptr<const GroundedFragment> MemoizedGrounding::ground_fragment(
     const cfg::ParseNode& node) {
     GroundingMemo::Key key = make_key(node);
-    GroundingMemo::Probe probe = memo_->probe(key);
-    if (probe.fragment) {
+    if (auto fragment = memo_->find_fragment(key)) {
         ++local_hits_;
-        return probe.fragment;
+        return fragment;
     }
     ++local_misses_;
-    auto fragment = compute_fragment(node);
+    auto fragment = std::make_shared<GroundedFragment>();
+    fragment->derived =
+        compose(node, [&](asp::AtomRule&& rule) { fragment->rules.push_back(std::move(rule)); });
+    fragment->bytes = fragment_bytes(*fragment);
     memo_->insert(key, fragment);
     return fragment;
 }
 
-std::shared_ptr<const GroundedFragment> MemoizedGrounding::compute_fragment(
-    const cfg::ParseNode& node) {
-    auto fragment = std::make_shared<GroundedFragment>();
-    std::vector<asp::Atom> seeds;
+template <typename Emit>
+std::vector<asp::Atom> MemoizedGrounding::compose(const cfg::ParseNode& node, Emit&& emit) {
+    std::vector<asp::Atom> derived;
+    std::size_t rule_count = 0;
 
     // Children first: relocate their rules and derived atoms into this
     // node's namespace (child i lives under "@i"). Leaves contribute
@@ -291,9 +307,10 @@ std::shared_ptr<const GroundedFragment> MemoizedGrounding::compute_fragment(
             for (const auto& a : rule.pos) moved.pos.push_back(reloc.atom(a));
             moved.neg.reserve(rule.neg.size());
             for (const auto& a : rule.neg) moved.neg.push_back(reloc.atom(a));
-            fragment->rules.push_back(std::move(moved));
+            emit(std::move(moved));
         }
-        for (const auto& a : child_fragment->derived) seeds.push_back(reloc.atom(a));
+        rule_count += child_fragment->rules.size();
+        for (const auto& a : child_fragment->derived) derived.push_back(reloc.atom(a));
     }
 
     // This node's own contribution: its production's annotation plus the
@@ -304,51 +321,39 @@ std::shared_ptr<const GroundedFragment> MemoizedGrounding::compute_fragment(
     local.rules().reserve(annotation.size() + context_.size());
     for (const auto& rule : annotation.rules()) local.add(rename_rule_at(rule, {}));
     for (const auto& rule : context_.rules()) local.add(rename_rule_at(rule, {}));
-    asp::SeededGrounding seeded = asp::ground_seeded(local, seeds, limits_);
+    asp::SeededGrounding seeded = asp::ground_seeded(local, derived, limits_);
 
-    for (auto& rule : seeded.rules) fragment->rules.push_back(std::move(rule));
-    fragment->derived = std::move(seeds);
-    for (auto& a : seeded.new_atoms) fragment->derived.push_back(std::move(a));
+    rule_count += seeded.rules.size();
+    for (auto& rule : seeded.rules) emit(std::move(rule));
+    for (auto& a : seeded.new_atoms) derived.push_back(std::move(a));
 
     // The per-call groundings each respect `limits_`; also bound the
     // composed totals so a fragment explosion surfaces the same way the
     // monolithic path would.
-    if (fragment->rules.size() > limits_.max_rules) {
+    if (rule_count > limits_.max_rules) {
         throw asp::GroundingError("grounding exceeded max_rules limit");
     }
-    if (fragment->derived.size() > limits_.max_atoms) {
+    if (derived.size() > limits_.max_atoms) {
         throw asp::GroundingError("grounding exceeded max_atoms limit");
     }
-    fragment->bytes = fragment_bytes(*fragment);
-    return fragment;
+    return derived;
 }
 
 MemoizedGrounding::Root MemoizedGrounding::ground_root(const cfg::ParseNode& tree) {
     Root out;
     out.key = make_key(tree);
-    GroundingMemo::Probe probe = memo_->probe(out.key);
-    if (probe.verdict >= 0) {
+    if (std::optional<bool> verdict = memo_->find_verdict(out.key)) {
         ++local_hits_;
         ++local_sat_hits_;
-        out.verdict = probe.verdict == 1;
+        out.verdict = *verdict;
         return out;
     }
-    std::shared_ptr<const GroundedFragment> fragment = probe.fragment;
-    if (fragment) {
-        ++local_hits_;
-    } else {
-        ++local_misses_;
-        fragment = compute_fragment(tree);
-        memo_->insert(out.key, fragment);
-    }
-    if (probe.program) {
-        out.program = probe.program;
-        return out;
-    }
-    // At the parse root the fragment's relative names are absolute, so its
-    // rules intern directly into the solver program.
+    ++local_misses_;
+    // At the parse root the relative names are absolute, so the composed
+    // rules intern directly into the solver program; the root keeps no
+    // fragment of its own.
     auto program = std::make_shared<asp::GroundProgram>();
-    for (const auto& rule : fragment->rules) {
+    compose(tree, [&](asp::AtomRule&& rule) {
         asp::GroundRule ground_rule;
         if (rule.head) ground_rule.head = program->intern(*rule.head);
         ground_rule.pos.reserve(rule.pos.size());
@@ -356,14 +361,13 @@ MemoizedGrounding::Root MemoizedGrounding::ground_root(const cfg::ParseNode& tre
         ground_rule.neg.reserve(rule.neg.size());
         for (const auto& a : rule.neg) ground_rule.neg.push_back(program->intern(a));
         program->add_rule(std::move(ground_rule));
-    }
-    out.program = program;
-    memo_->attach_program(out.key, program);
+    });
+    out.program = std::move(program);
     return out;
 }
 
 void MemoizedGrounding::store_verdict(const Root& root, bool satisfiable) {
-    memo_->attach_verdict(root.key, satisfiable);
+    memo_->store_verdict(root.key, satisfiable);
 }
 
 }  // namespace agenp::asg

@@ -8,6 +8,13 @@
 // `cfg::subtree_hash` ⧺ a context fingerprint, so repeated grammar
 // fragments across requests (and across parse positions) ground once.
 //
+// Inner parse nodes keep their grounded fragment. Parse roots keep only
+// the solver's verdict: a root miss composes the solver program straight
+// from its children's fragments and its own seeded grounding, so a novel
+// request leaves a key-sized entry behind rather than its whole program.
+// One entry may hold a fragment, a verdict, or both (a start symbol that
+// recurs inside its own parse trees).
+//
 // Soundness gate: compositional grounding is only valid when no annotation
 // or context rule has an annotated HEAD — an annotated head lets a parent
 // derive atoms into a child's namespace, which the child's fragment was
@@ -20,7 +27,8 @@
 // DecisionService bumps `set_epoch` under its model write lock and stale
 // entries are erased lazily on probe. Shards use a ProfiledMutex named
 // "asg.memo" (rank 25 in the §12 hierarchy); all grounding, relocation and
-// interning happens outside the shard locks.
+// interning happens outside the shard locks, and erased or evicted entries
+// are destroyed only after the shard lock is dropped.
 #pragma once
 
 #include <atomic>
@@ -40,10 +48,10 @@
 namespace agenp::asg {
 
 // A grounded G[PT] fragment with predicate namespaces relative to its own
-// subtree root: "p@" is the subtree root, "p@1.2" a grandchild. For the
+// subtree root: "p@" is the subtree root, "p@1.2" a grandchild. At the
 // parse root these relative names coincide with the absolute names that
-// `instantiate` produces, so the root fragment's rules intern directly
-// into the solver program. All atoms are deep heap values — nothing in a
+// `instantiate` produces, so a root's composed rules intern directly into
+// the solver program. All atoms are deep heap values — nothing in a
 // fragment may point into the grounder's scratch arena (§13 escape rule).
 struct GroundedFragment {
     std::vector<asp::AtomRule> rules;
@@ -52,7 +60,7 @@ struct GroundedFragment {
 };
 
 struct MemoStats {
-    std::uint64_t hits = 0;
+    std::uint64_t hits = 0;    // fragment probes that found one + sat_hits
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
@@ -91,27 +99,23 @@ public:
         std::vector<int> shape;        // exact preorder production shape
     };
 
-    struct Probe {
-        std::shared_ptr<const GroundedFragment> fragment;           // null = miss
-        std::shared_ptr<const asp::GroundProgram> program;          // root entries only
-        int verdict = -1;  // -1 unknown, 0 unsatisfiable, 1 satisfiable
-    };
-
-    Probe probe(const Key& key);
+    // Inner-node probe: the fragment, or null (a verdict-only entry is a
+    // fragment miss).
+    std::shared_ptr<const GroundedFragment> find_fragment(const Key& key);
+    // Root probe: the memoized decisive solve verdict, if any.
+    std::optional<bool> find_verdict(const Key& key);
+    // Stores a fragment; an existing entry for `key` keeps its verdict.
     void insert(const Key& key, std::shared_ptr<const GroundedFragment> fragment);
-    // Attach the interned solver program / decisive solve verdict to an
-    // existing entry (parse-root subtrees only); no-op if it was evicted.
-    void attach_program(const Key& key, std::shared_ptr<const asp::GroundProgram> program);
-    void attach_verdict(const Key& key, bool satisfiable);
+    // Stores a decisive verdict; an existing entry keeps its fragment.
+    void store_verdict(const Key& key, bool satisfiable);
 
 private:
     struct Entry {
         Key key;
         std::uint64_t epoch = 0;
         std::size_t bytes = 0;
-        std::shared_ptr<const GroundedFragment> fragment;
-        std::shared_ptr<const asp::GroundProgram> program;
-        int verdict = -1;
+        std::shared_ptr<const GroundedFragment> fragment;  // null = verdict only
+        int verdict = -1;  // -1 unknown, 0 unsatisfiable, 1 satisfiable
     };
 
     struct Shard {
@@ -128,11 +132,18 @@ private:
     };
 
     Shard& shard_for(std::uint64_t hash) { return *shards_[hash & shard_mask_]; }
-    // Finds the live entry for `key` under the current epoch, erasing it
+    // Entries leave a shard by splicing into `released`, a list the caller
+    // declares before taking the lock, so no fragment is freed under it.
+    // Finds the live entry for `key` under the current epoch, releasing it
     // when stale (counted as an invalidation). end() when absent.
-    std::list<Entry>::iterator find_live(Shard& shard, const Key& key) REQUIRES(shard.mu);
-    void erase_entry(Shard& shard, std::list<Entry>::iterator it) REQUIRES(shard.mu);
-    void evict_over_budget(Shard& shard) REQUIRES(shard.mu);
+    std::list<Entry>::iterator find_live(Shard& shard, const Key& key,
+                                         std::list<Entry>& released) REQUIRES(shard.mu);
+    // The live entry for `key`, moved to the LRU front; a new, empty one
+    // when absent.
+    Entry& upsert(Shard& shard, const Key& key, std::list<Entry>& released) REQUIRES(shard.mu);
+    void erase_entry(Shard& shard, std::list<Entry>::iterator it, std::list<Entry>& released)
+        REQUIRES(shard.mu);
+    void evict_over_budget(Shard& shard, std::list<Entry>& released) REQUIRES(shard.mu);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::uint64_t shard_mask_ = 0;
@@ -160,8 +171,8 @@ public:
 
     struct Root {
         GroundingMemo::Key key;
-        // The composed, interned G[PT] — null when `verdict` already
-        // answers the query.
+        // The composed, interned G[PT], built for this query and not kept
+        // by the memo — null when `verdict` already answers the query.
         std::shared_ptr<const asp::GroundProgram> program;
         std::optional<bool> verdict;  // memoized decisive solve result
     };
@@ -177,7 +188,12 @@ public:
 private:
     GroundingMemo::Key make_key(const cfg::ParseNode& node) const;
     std::shared_ptr<const GroundedFragment> ground_fragment(const cfg::ParseNode& node);
-    std::shared_ptr<const GroundedFragment> compute_fragment(const cfg::ParseNode& node);
+    // Grounds `node` from its children's (memoized) fragments, relocated
+    // into its namespace, plus its own annotation and context seeded with
+    // the children's derived atoms. Hands every rule to `emit` and returns
+    // every derivable atom, in names relative to `node`.
+    template <typename Emit>
+    std::vector<asp::Atom> compose(const cfg::ParseNode& node, Emit&& emit);
 
     GroundingMemo* memo_;
     const AnswerSetGrammar& grammar_;

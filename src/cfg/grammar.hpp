@@ -86,10 +86,9 @@ public:
 private:
     Symbol start_;
     std::vector<Production> productions_;
-    mutable std::vector<std::pair<Symbol, std::vector<int>>> by_lhs_;  // lazily rebuilt index
-    mutable bool index_dirty_ = true;
-
-    void rebuild_index() const;
+    // Production indices per lhs, kept current by add_production so const
+    // readers (concurrent parses of a shared grammar) never write.
+    std::vector<std::pair<Symbol, std::vector<int>>> by_lhs_;
 };
 
 }  // namespace agenp::cfg

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "cfg/earley.hpp"
 #include "cfg/generate.hpp"
@@ -21,6 +24,40 @@ TEST(Grammar, ParsesProductionsAndStart) {
     EXPECT_EQ(g.start().str(), "rule");
     EXPECT_EQ(g.productions().size(), 6u);
     EXPECT_EQ(g.productions_for(Symbol("action")).size(), 2u);
+}
+
+TEST(Grammar, ConcurrentFirstParsesOfACopiedGrammar) {
+    // A serving model is a fresh grammar copy that several workers parse
+    // at once. Built by add_production (as the ASG parser does) and copied
+    // before any parse, so every productions_for call below is a first
+    // read of the copy; the TSan job runs this binary.
+    Grammar built;
+    built.set_start(Symbol("rule"));
+    built.add_production({Symbol("rule"), {GSym::nonterm("action"), GSym::nonterm("subject")}});
+    for (const char* a : {"permit", "deny"}) {
+        built.add_production({Symbol("action"), {GSym::term(a)}});
+    }
+    for (const char* s : {"admin", "user", "guest"}) {
+        built.add_production({Symbol("subject"), {GSym::term(s)}});
+    }
+    const Grammar copy = built;
+
+    constexpr int kThreads = 4;
+    std::atomic<bool> go{false};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+            if (parse_trees(copy, tokenize("deny guest")).size() != 1) ++wrong;
+            if (!parse_trees(copy, tokenize("guest deny")).empty()) ++wrong;
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_EQ(copy.productions_for(Symbol("subject")).size(), 3u);
 }
 
 TEST(Grammar, RejectsUndefinedNonterminal) {

@@ -1,8 +1,9 @@
 // The grounding memo (asg/memo.hpp): memo-on results must be identical to
 // the plain instantiate + ground + solve path, entries must invalidate
 // lazily on an epoch (model version) bump, the soundness gate must reject
-// annotated heads, and the sharded table must survive concurrent use with
-// concurrent epoch bumps (the TSan job runs this binary).
+// annotated heads, parse roots must keep only verdicts, and the sharded
+// table must survive concurrent use with concurrent epoch bumps (the TSan
+// job runs this binary).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "asg/memo.hpp"
 #include "asp/parser.hpp"
 #include "asp/solver.hpp"
+#include "util/rng.hpp"
 
 namespace agenp::asg {
 namespace {
@@ -46,6 +48,67 @@ const char* kAnBn = R"(
         size(0).
     }
 )";
+
+// Three children with 16 alternatives each under a root that joins the
+// context's load/1 facts pairwise: 4,096 sentences, each with one parse
+// tree. Roots are all distinct; the 48 inner fragments are shared.
+constexpr int kAlternatives = 16;
+constexpr std::size_t kInnerFragments = 3 * kAlternatives;
+
+AnswerSetGrammar compositional_grammar() {
+    std::string text =
+        "request -> \"do\" task \"in\" zone \"by\" unit {\n"
+        "  :- requires(L)@2, maxloa(M), L > M.\n"
+        "  :- risk(R)@4, cover(C)@6, R > C + 2.\n"
+        "  stress(X, Y) :- load(X), load(Y).\n"
+        "  :- stress(X, Y), cover(C)@6, X + Y + C > 18.\n"
+        "}\n";
+    for (int i = 0; i < kAlternatives; ++i) {
+        auto n = std::to_string(i);
+        text += "task -> \"task_" + n + "\" { requires(" + std::to_string(i % 5 + 1) + "). }\n";
+        text += "zone -> \"zone_" + n + "\" { risk(" + std::to_string(i % 6) + "). }\n";
+        text += "unit -> \"unit_" + n + "\" { cover(" + std::to_string(i % 4) + "). }\n";
+    }
+    return AnswerSetGrammar::parse(text);
+}
+
+asp::Program compositional_context() {
+    std::string text = "maxloa(3).\n";
+    for (int i = 1; i <= 8; ++i) text += "load(" + std::to_string(i) + ").\n";
+    return asp::parse_program(text);
+}
+
+cfg::TokenString sentence(int task, int zone, int unit) {
+    return tokenize("do task_" + std::to_string(task) + " in zone_" + std::to_string(zone) +
+                    " by unit_" + std::to_string(unit));
+}
+
+// The diagonal (i, i, i) grounds every inner fragment; the rest are 600
+// seeded off-diagonal sentences, so every root is novel.
+struct Sentences {
+    std::vector<cfg::TokenString> diagonal;
+    std::vector<cfg::TokenString> novel;
+};
+
+Sentences compositional_sentences() {
+    Sentences out;
+    std::vector<int> off_diagonal;
+    for (int i = 0; i < kAlternatives; ++i) out.diagonal.push_back(sentence(i, i, i));
+    for (int code = 0; code < kAlternatives * kAlternatives * kAlternatives; ++code) {
+        int t = code / (kAlternatives * kAlternatives);
+        int z = code / kAlternatives % kAlternatives;
+        int u = code % kAlternatives;
+        if (!(t == z && z == u)) off_diagonal.push_back(code);
+    }
+    util::Rng rng(12);
+    rng.shuffle(off_diagonal);
+    off_diagonal.resize(600);
+    for (int code : off_diagonal) {
+        out.novel.push_back(sentence(code / (kAlternatives * kAlternatives),
+                                     code / kAlternatives % kAlternatives, code % kAlternatives));
+    }
+    return out;
+}
 
 TEST(MemoGate, DemoStyleGrammarsPass) {
     auto ctx = asp::parse_program("maxloa(3).");
@@ -181,6 +244,92 @@ TEST(Memo, EpochBumpInvalidatesLazily) {
     ASSERT_TRUE(in_language(g, tokenize("do patrol"), ctx, options));
     MemoStats stats = memo.stats();
     EXPECT_GT(stats.invalidations, 0u);
+}
+
+TEST(Memo, NovelRequestsAgreeWithPlainPath) {
+    auto g = compositional_grammar();
+    auto ctx = compositional_context();
+    Sentences sentences = compositional_sentences();
+    std::vector<cfg::TokenString> all = sentences.diagonal;
+    all.insert(all.end(), sentences.novel.begin(), sentences.novel.end());
+
+    GroundingMemo memo;
+    MembershipOptions with_memo;
+    with_memo.memo = &memo;
+    std::size_t permits = 0;
+    std::uint64_t sat_hits_after_first_pass = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const auto& tokens : all) {
+            bool plain = in_language(g, tokens, ctx);
+            bool memoized = in_language(g, tokens, ctx, with_memo);
+            EXPECT_EQ(memoized, plain) << "pass " << pass << " '" << cfg::detokenize(tokens) << "'";
+            if (pass == 0 && plain) ++permits;
+        }
+        if (pass == 0) sat_hits_after_first_pass = memo.stats().sat_hits;
+    }
+    EXPECT_GT(permits, 0u);
+    EXPECT_LT(permits, all.size());
+    // The second pass is answered from root verdicts alone.
+    EXPECT_EQ(memo.stats().sat_hits - sat_hits_after_first_pass, all.size());
+}
+
+TEST(Memo, NovelRootsRetainOnlyTheirVerdicts) {
+    auto g = compositional_grammar();
+    auto ctx = compositional_context();
+    Sentences sentences = compositional_sentences();
+    GroundingMemo memo;
+    MembershipOptions with_memo;
+    with_memo.memo = &memo;
+
+    for (const auto& tokens : sentences.diagonal) (void)in_language(g, tokens, ctx, with_memo);
+    MemoStats filled = memo.stats();
+    ASSERT_EQ(filled.entries, kInnerFragments + sentences.diagonal.size());
+
+    for (const auto& tokens : sentences.novel) (void)in_language(g, tokens, ctx, with_memo);
+    MemoStats after = memo.stats();
+    std::size_t roots = sentences.diagonal.size() + sentences.novel.size();
+    EXPECT_EQ(after.evictions, 0u);
+    EXPECT_LE(after.entries, kInnerFragments + roots);
+    // A novel root adds one verdict entry: its key, whose preorder shape is
+    // the only variable part, and a few words of bookkeeping — never its
+    // grounded program.
+    std::vector<int> shape;
+    cfg::subtree_shape(cfg::parse_trees(g.grammar(), sentences.novel.front()).front(), shape);
+    std::size_t verdict_entry_bytes = sizeof(GroundingMemo::Key) + shape.size() * sizeof(int) + 64;
+    EXPECT_LE(after.bytes - filled.bytes, sentences.novel.size() * verdict_entry_bytes);
+}
+
+TEST(Memo, StartSymbolInsideItsOwnTreesSharesOneEntry) {
+    // Every "( ... )" subtree is both an inner fragment of deeper strings
+    // and the parse root of its own string, so one entry ends up holding a
+    // fragment and a verdict. Shallow-first and deep-first orders exercise
+    // both ways round.
+    auto g = AnswerSetGrammar::parse(R"asg(
+        s -> "(" s ")" {
+            depth(N) :- depth(M)@2, N = M + 1.
+            :- depth(N), limit(L), N > L.
+        }
+        s -> "x" { depth(0). }
+    )asg");
+    auto ctx = asp::parse_program("limit(2).");
+    std::vector<const char*> texts = {"( x )", "x", "( ( ( ( x ) ) ) )", "( ( x ) )",
+                                      "( ( ( x ) ) )"};
+    GroundingMemo memo;
+    MembershipOptions with_memo;
+    with_memo.memo = &memo;
+    MemoStats first;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const char* text : texts) {
+            bool plain = in_language(g, tokenize(text), ctx);
+            EXPECT_EQ(in_language(g, tokenize(text), ctx, with_memo), plain)
+                << "pass " << pass << " '" << text << "'";
+        }
+        if (pass == 0) first = memo.stats();
+    }
+    EXPECT_EQ(first.entries, texts.size());  // depths 0..4, one entry each
+    MemoStats second = memo.stats();
+    EXPECT_EQ(second.misses, first.misses);  // every verdict survived its fragment
+    EXPECT_EQ(second.sat_hits - first.sat_hits, texts.size());
 }
 
 TEST(Memo, TinyBudgetEvictsButStaysCorrect) {
