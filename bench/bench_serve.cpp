@@ -377,8 +377,11 @@ RestartRow run_restart(std::size_t distinct, std::size_t steady_passes) {
     return row;
 }
 
-// The serving-path hot locks the ISSUE asks bench_serve to report on.
-constexpr const char* kHotLocks[] = {"symbol.intern", "srv.cache_shard", "srv.model"};
+// The serving-path hot locks every row reports: symbol interning, the
+// decision cache shards, the model lock, the per-replica monitor lock
+// taken by every request, and the grounding memo shards.
+constexpr const char* kHotLocks[] = {"symbol.intern", "srv.cache_shard", "srv.model",
+                                     "srv.monitor", "asg.memo"};
 
 const obs::LockStatsSnapshot* find_lock(const Row& row, std::string_view name) {
     for (const auto& snap : row.locks) {

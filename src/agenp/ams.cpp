@@ -1,7 +1,6 @@
 #include "agenp/ams.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
 
 namespace agenp::framework {
@@ -20,10 +19,8 @@ const asg::AnswerSetGrammar& AutonomousManagedSystem::model() const {
 }
 
 std::pair<bool, std::size_t> AutonomousManagedSystem::handle_request(const cfg::TokenString& request) {
-    obs::ScopedSpan span("agenp.ams.handle_request", "agenp");
-    obs::TracePhase request_phase(obs::current_trace(), "agenp.ams.handle_request");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.ams.request_time_us");
-    obs::ScopedTimer timer(time_hist);
+    static const obs::PhaseSite kHandleRequest("agenp.ams.handle_request");
+    obs::Phase phase(kHandleRequest);
     if (obs::metrics_enabled()) {
         static obs::Counter& requests = obs::metrics().counter("agenp.ams.requests");
         requests.add(1);

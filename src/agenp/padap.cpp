@@ -29,7 +29,8 @@ void publish_outcome(const AdaptationOutcome& outcome) {
 
 AdaptationOutcome PolicyAdaptationPoint::maybe_adapt(const DecisionMonitor& monitor,
                                                      RepresentationsRepository& representations) {
-    obs::ScopedSpan span("agenp.padap.maybe_adapt", "agenp");
+    static const obs::PhaseSite kMaybeAdapt("agenp.padap.maybe_adapt");
+    obs::Phase phase(kMaybeAdapt);
     static obs::Counter& checks = obs::metrics().counter("agenp.padap.monitor_checks");
     if (obs::metrics_enabled()) checks.add(1);
 
@@ -83,9 +84,8 @@ asp::Program context_signature(const std::vector<ilp::Example>& positive,
 AdaptationOutcome PolicyAdaptationPoint::adapt_from_examples(
     const std::vector<ilp::Example>& positive, const std::vector<ilp::Example>& negative,
     RepresentationsRepository& representations, const std::string& note) {
-    obs::ScopedSpan span("agenp.padap.adapt", "agenp");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.padap.time_us");
-    obs::ScopedTimer timer(time_hist);
+    static const obs::PhaseSite kAdapt("agenp.padap.adapt");
+    obs::Phase phase(kAdapt);
 
     AdaptationOutcome outcome;
     ilp::LearningTask task;

@@ -169,7 +169,8 @@ PolicyCheckingPoint::GpmQualityReport PolicyCheckingPoint::assess_gpm(
 
 analysis::DiagnosticSink PolicyCheckingPoint::lint_model(const asg::AnswerSetGrammar& model,
                                                          const analysis::LintOptions& options) {
-    obs::ScopedSpan span("agenp.pcp.lint_model", "agenp");
+    static const obs::PhaseSite kLintModel("agenp.pcp.lint_model");
+    obs::Phase phase(kLintModel);
     auto sink = analysis::lint_asg(model, options);
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();
@@ -184,9 +185,8 @@ analysis::DiagnosticSink PolicyCheckingPoint::lint_model(const asg::AnswerSetGra
 PolicyCheckingPoint::ViolationReport PolicyCheckingPoint::detect_violations(
     const asg::AnswerSetGrammar& model, const std::vector<ilp::Example>& forbidden,
     const asg::MembershipOptions& options) {
-    obs::ScopedSpan span("agenp.pcp.detect_violations", "agenp");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.pcp.time_us");
-    obs::ScopedTimer timer(time_hist);
+    static const obs::PhaseSite kDetect("agenp.pcp.detect_violations");
+    obs::Phase phase(kDetect);
 
     ViolationReport report;
     for (std::size_t i = 0; i < forbidden.size(); ++i) {

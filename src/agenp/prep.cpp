@@ -8,9 +8,8 @@ namespace agenp::framework {
 PrepReport PolicyRefinementPoint::refresh(const asg::AnswerSetGrammar& model,
                                           const asp::Program& context, PolicyRepository& repo,
                                           std::uint64_t version) {
-    obs::ScopedSpan span("agenp.prep.refresh", "agenp");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.prep.time_us");
-    obs::ScopedTimer timer(time_hist);
+    static const obs::PhaseSite kRefresh("agenp.prep.refresh");
+    obs::Phase phase(kRefresh);
 
     auto result = asg::language(model, context, options_.language);
     PrepReport report;

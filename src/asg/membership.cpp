@@ -1,9 +1,7 @@
 #include "asg/membership.hpp"
 
 #include "asg/memo.hpp"
-#include "obs/costtable.hpp"
 #include "obs/metrics.hpp"
-#include "obs/reqtrace.hpp"
 #include "obs/trace.hpp"
 
 namespace agenp::asg {
@@ -30,10 +28,9 @@ void publish(const MembershipResult& result, std::size_t asp_checks) {
 
 MembershipResult check_membership(const AnswerSetGrammar& grammar, const cfg::TokenString& tokens,
                                   const asp::Program& context, const MembershipOptions& options) {
-    obs::ScopedSpan span("asg.membership", "asg");
-    obs::TracePhase request_phase(obs::current_trace(), "asg.membership");
-    static obs::Histogram& time_hist = obs::metrics().histogram("asg.membership.time_us");
-    obs::ScopedTimer timer(time_hist);
+    static const obs::PhaseSite kMembership("asg.membership");
+    static const obs::PhaseSite kGround("asp.ground");
+    obs::Phase phase(kMembership);
 
     MembershipResult result;
     std::size_t asp_checks = 0;
@@ -44,50 +41,34 @@ MembershipResult check_membership(const AnswerSetGrammar& grammar, const cfg::To
     MemoizedGrounding memoized(options.memo, grammar, context, options.grounding);
     for (const auto& tree : trees) {
         ++result.trees_checked;
-        asp::SolveResult solved;
-        if (memoized.usable() && !tree.is_leaf()) {
-            MemoizedGrounding::Root root;
-            {
-                obs::TracePhase ground_phase(obs::current_trace(), "asp.ground");
-                static obs::CostCell& memo_cost = obs::costs().cell("asg.memo_probe");
-                obs::ScopedCost cost(memo_cost);
+        bool use_memo = memoized.usable() && !tree.is_leaf();
+        // The plain path instantiates G[PT] up front; the memo path does
+        // the same renaming node by node while it composes the tree.
+        asp::Program program;
+        if (!use_memo) program = instantiate(grammar, tree, context);
+        MemoizedGrounding::Root root;
+        asp::GroundProgram plain;
+        {
+            obs::Phase ground(kGround);
+            if (use_memo) {
                 root = memoized.ground_root(tree);
+            } else {
+                plain = asp::ground(program, options.grounding);
             }
-            if (root.verdict.has_value()) {
-                if (*root.verdict) {
-                    result.in_language = true;
-                    publish(result, asp_checks);
-                    return result;
-                }
-                continue;
-            }
-            {
-                obs::TracePhase solve_phase(obs::current_trace(), "asp.solve");
-                static obs::CostCell& solve_cost = obs::costs().cell("asp.solve");
-                obs::ScopedCost cost(solve_cost);
-                solved = asp::solve(*root.program, options.solve);
-            }
-            ++asp_checks;
-            // A resource-limited verdict is not decisive — memoizing it
-            // would freeze `resource_limited` semantics into the cache.
-            if (!solved.exhausted) memoized.store_verdict(root, solved.satisfiable());
-        } else {
-            asp::Program program = instantiate(grammar, tree, context);
-            asp::GroundProgram gp;
-            {
-                obs::TracePhase ground_phase(obs::current_trace(), "asp.ground");
-                static obs::CostCell& ground_cost = obs::costs().cell("asp.ground");
-                obs::ScopedCost cost(ground_cost);
-                gp = asp::ground(program, options.grounding);
-            }
-            {
-                obs::TracePhase solve_phase(obs::current_trace(), "asp.solve");
-                static obs::CostCell& solve_cost = obs::costs().cell("asp.solve");
-                obs::ScopedCost cost(solve_cost);
-                solved = asp::solve(gp, options.solve);
-            }
-            ++asp_checks;
         }
+        if (root.verdict.has_value()) {
+            if (*root.verdict) {
+                result.in_language = true;
+                publish(result, asp_checks);
+                return result;
+            }
+            continue;
+        }
+        asp::SolveResult solved = asp::solve(use_memo ? *root.program : plain, options.solve);
+        ++asp_checks;
+        // A resource-limited verdict is not decisive — memoizing it would
+        // freeze `resource_limited` semantics into the cache.
+        if (use_memo && !solved.exhausted) memoized.store_verdict(root, solved.satisfiable());
         if (solved.satisfiable()) {
             result.in_language = true;
             publish(result, asp_checks);

@@ -6,7 +6,6 @@
 
 #include "asp/substitution.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/arena.hpp"
 
 namespace agenp::asp {
@@ -131,10 +130,6 @@ public:
 
 private:
     void instantiate() {
-        obs::ScopedSpan span("asp.ground", "asp");
-        static obs::Histogram& time_hist = obs::metrics().histogram("asp.grounder.time_us");
-        obs::ScopedTimer timer(time_hist);
-
         check_safety();
 
         // Round 0: rules with no positive body literals fire exactly once.

@@ -568,9 +568,8 @@ void publish_stats(const LearnResult& result) {
 }  // namespace
 
 LearnResult learn(const LearningTask& task, const LearnOptions& options) {
-    obs::ScopedSpan span("ilp.learn", "ilp");
-    static obs::Histogram& time_hist = obs::metrics().histogram("ilp.learner.time_us");
-    obs::ScopedTimer timer(time_hist);
+    static const obs::PhaseSite kLearn("ilp.learn");
+    obs::Phase phase(kLearn);
     LearnResult result = options.allow_fast_path && task.space.constraints_only()
                              ? FastPathLearner(task, options).run()
                              : GeneralLearner(task, options).run();

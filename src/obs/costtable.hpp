@@ -10,10 +10,10 @@
 // and pick strategies.
 //
 // Hot path: observe() is two relaxed atomic adds plus one CAS loop on a
-// bit-cast double — no locks. ScopedCost call sites cache the CostCell&
-// once (same pattern as the `static obs::Counter&` idiom) and compile to
-// nothing when metrics are disabled. tick() and snapshot() take the
-// registration mutex; both run at human rates.
+// bit-cast double — no locks. Every obs::Phase (obs/trace.hpp) feeds the
+// cell named after it, held by its PhaseSite, while metrics are enabled.
+// tick() and snapshot() take the registration mutex; both run at human
+// rates.
 #pragma once
 
 #include <atomic>
@@ -102,22 +102,5 @@ private:
 
 // The process-wide cost table used by instrumentation call sites.
 CostTable& costs();
-
-// RAII cost observation; no-op when metrics are disabled at construction.
-class ScopedCost {
-public:
-    explicit ScopedCost(CostCell& cell)
-        : cell_(metrics_enabled() ? &cell : nullptr),
-          start_ns_(cell_ != nullptr ? monotonic_ns() : 0) {}
-    ~ScopedCost() {
-        if (cell_ != nullptr) cell_->observe((monotonic_ns() - start_ns_) / 1000);
-    }
-    ScopedCost(const ScopedCost&) = delete;
-    ScopedCost& operator=(const ScopedCost&) = delete;
-
-private:
-    CostCell* cell_;
-    std::uint64_t start_ns_;
-};
 
 }  // namespace agenp::obs

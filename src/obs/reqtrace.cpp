@@ -1,6 +1,6 @@
 #include "obs/reqtrace.hpp"
 
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace agenp::obs {
 
@@ -10,10 +10,10 @@ thread_local TraceContext* t_current_trace = nullptr;
 
 }  // namespace
 
-std::size_t TraceContext::begin_span(std::string_view name) {
+std::size_t TraceContext::begin_span(std::string_view name, std::uint64_t now_ns) {
     RequestSpan span;
     span.name = std::string(name);
-    span.start_us = monotonic_ns() / 1000;
+    span.start_us = now_ns / 1000;
     span.parent = open_.empty() ? -1 : static_cast<std::int32_t>(open_.back());
     spans_.push_back(std::move(span));
     std::size_t index = spans_.size() - 1;
@@ -21,10 +21,10 @@ std::size_t TraceContext::begin_span(std::string_view name) {
     return index;
 }
 
-void TraceContext::end_span(std::size_t index) {
+void TraceContext::end_span(std::size_t index, std::uint64_t now_ns) {
     if (index >= spans_.size()) return;
     RequestSpan& span = spans_[index];
-    std::uint64_t now_us = monotonic_ns() / 1000;
+    std::uint64_t now_us = now_ns / 1000;
     span.duration_us = now_us >= span.start_us ? now_us - span.start_us : 0;
     // Pop the open stack down to (and including) this span; spans are
     // expected to close innermost-first, but a missed end_span must not
@@ -34,36 +34,6 @@ void TraceContext::end_span(std::size_t index) {
         open_.pop_back();
         if (top == index) break;
     }
-}
-
-std::size_t TraceContext::find(std::string_view name) const {
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-        if (spans_[i].name == name) return i;
-    }
-    return npos;
-}
-
-void TraceContext::append_chrome_events(std::string& out, bool& first) const {
-    for (const auto& span : spans_) {
-        if (!first) out += ",";
-        out += "{\"name\":\"" + json_escape(span.name) + "\",\"cat\":\"request\",\"ph\":\"X\"";
-        out += ",\"ts\":" + std::to_string(span.start_us);
-        out += ",\"dur\":" + std::to_string(span.duration_us);
-        out += ",\"pid\":1,\"tid\":" + std::to_string(id_);
-        out += ",\"args\":{\"trace_id\":" + std::to_string(id_) +
-               ",\"parent\":" + std::to_string(span.parent);
-        if (client_ != 0) out += ",\"client\":" + std::to_string(client_);
-        out += "}}";
-        first = false;
-    }
-}
-
-std::string TraceContext::chrome_trace_json() const {
-    std::string out = "{\"traceEvents\":[";
-    bool first = true;
-    append_chrome_events(out, first);
-    out += "],\"displayTimeUnit\":\"ms\"}";
-    return out;
 }
 
 TraceContext* current_trace() { return t_current_trace; }
@@ -78,7 +48,16 @@ std::string chrome_trace_json(const std::vector<const TraceContext*>& traces) {
     std::string out = "{\"traceEvents\":[";
     bool first = true;
     for (const TraceContext* trace : traces) {
-        if (trace != nullptr) trace->append_chrome_events(out, first);
+        if (trace == nullptr) continue;
+        std::string id = std::to_string(trace->trace_id());
+        for (const auto& span : trace->spans()) {
+            std::string args =
+                "{\"trace_id\":" + id + ",\"parent\":" + std::to_string(span.parent);
+            if (trace->client() != 0) args += ",\"client\":" + std::to_string(trace->client());
+            args += "}";
+            append_chrome_event(out, first, span.name, span.start_us, span.duration_us,
+                                trace->trace_id(), args);
+        }
     }
     out += "],\"displayTimeUnit\":\"ms\"}";
     return out;

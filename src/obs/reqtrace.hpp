@@ -10,15 +10,19 @@
 // latency histogram flattens away.
 //
 // Propagation: the request owns its TraceContext; deeper layers (PDP,
-// membership, solver call sites) reach it through a thread-local set by
-// TraceContextScope for the duration of the evaluation, so their
-// signatures stay trace-agnostic. A TraceContext is single-owner: at any
-// moment at most one thread appends spans (enforced by the serving
-// layer's queue handoff), so it needs no internal locking.
+// membership, solver) reach it through a thread-local set by
+// TraceContextScope for the duration of the evaluation: every obs::Phase
+// (obs/trace.hpp) adds its interval as a span there, so their signatures
+// stay trace-agnostic. A TraceContext is single-owner: at any moment at
+// most one thread appends spans (enforced by the serving layer's queue
+// handoff), so it needs no internal locking.
 //
-// Cost: when the serving layer decides not to trace a request it passes a
-// null context everywhere; TracePhase on a null context touches no clock
-// and allocates nothing.
+// Clock: a TraceContext never reads the clock. Callers pass the
+// monotonic_ns() reading they already took, so one reading can end one
+// span and start the next, or feed a latency figure as well.
+//
+// Cost: when the serving layer decides not to trace a request no context
+// is installed, and a Phase adds no span.
 #pragma once
 
 #include <cstdint>
@@ -46,28 +50,19 @@ public:
     void set_client(std::uint64_t client) { client_ = client; }
     [[nodiscard]] std::uint64_t client() const { return client_; }
 
-    // Opens a span nested under the innermost open span; returns its index.
-    std::size_t begin_span(std::string_view name);
-    void end_span(std::size_t index);
+    // Opens a span at `now_ns` (a monotonic_ns() reading) nested under the
+    // innermost open span; returns its index.
+    std::size_t begin_span(std::string_view name, std::uint64_t now_ns);
+    // Closes span `index` at `now_ns`: its duration is the whole
+    // microseconds between the two readings (end/1000 - start/1000).
+    void end_span(std::size_t index, std::uint64_t now_ns);
 
     [[nodiscard]] const std::vector<RequestSpan>& spans() const { return spans_; }
-
-    // Index of the first span with this name, or npos.
-    [[nodiscard]] std::size_t find(std::string_view name) const;
-    static constexpr std::size_t npos = ~std::size_t{0};
 
     // Duration of the root span (index 0), or 0 when empty.
     [[nodiscard]] std::uint64_t total_us() const {
         return spans_.empty() ? 0 : spans_.front().duration_us;
     }
-
-    // Appends this request's spans as Chrome trace events ("ph":"X") onto
-    // `out`; every event carries tid = trace id (one lane per request) and
-    // args.trace_id / args.parent for scripted consumers.
-    void append_chrome_events(std::string& out, bool& first) const;
-
-    // Standalone Chrome trace-event JSON for this one request.
-    [[nodiscard]] std::string chrome_trace_json() const;
 
 private:
     std::uint64_t id_ = 0;
@@ -92,25 +87,10 @@ private:
     TraceContext* prev_;
 };
 
-// RAII phase span on a (possibly null) context.
-class TracePhase {
-public:
-    TracePhase(TraceContext* ctx, std::string_view name) : ctx_(ctx) {
-        if (ctx_ != nullptr) index_ = ctx_->begin_span(name);
-    }
-    ~TracePhase() {
-        if (ctx_ != nullptr) ctx_->end_span(index_);
-    }
-    TracePhase(const TracePhase&) = delete;
-    TracePhase& operator=(const TracePhase&) = delete;
-
-private:
-    TraceContext* ctx_;
-    std::size_t index_ = 0;
-};
-
 // Merges several requests' span trees into one Chrome trace-event JSON
-// document (one tid lane per request).
+// document. Every event carries tid = trace id (one lane per request) and
+// args.trace_id / args.parent (plus args.client when connection-bound)
+// for scripted consumers.
 std::string chrome_trace_json(const std::vector<const TraceContext*>& traces);
 
 }  // namespace agenp::obs

@@ -5,7 +5,9 @@
 #include <map>
 #include <mutex>
 
+#include "obs/costtable.hpp"
 #include "obs/metrics.hpp"
+#include "obs/reqtrace.hpp"
 #include "util/mutex.hpp"
 
 namespace agenp::obs {
@@ -19,7 +21,7 @@ std::uint32_t this_thread_index() {
 }
 
 // Per-thread stack tracking nesting depth and the nanoseconds consumed by
-// completed child spans at each level (for self-time).
+// completed nested phases at each level (for self-time).
 thread_local std::vector<std::uint64_t> t_child_ns;
 
 }  // namespace
@@ -58,15 +60,26 @@ std::string TraceRecorder::chrome_trace_json() const {
     std::string out = "{\"traceEvents\":[";
     bool first = true;
     for (const auto& e : evs) {
-        if (!first) out += ",";
-        out += "{\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"" + json_escape(e.category) +
-               "\",\"ph\":\"X\",\"ts\":" + std::to_string(e.start_us) +
-               ",\"dur\":" + std::to_string(e.duration_us) +
-               ",\"pid\":1,\"tid\":" + std::to_string(e.thread) + "}";
-        first = false;
+        append_chrome_event(out, first, e.name, e.start_us, e.duration_us, e.thread);
     }
     out += "],\"displayTimeUnit\":\"ms\"}";
     return out;
+}
+
+void append_chrome_event(std::string& out, bool& first, std::string_view name,
+                         std::uint64_t ts_us, std::uint64_t dur_us, std::uint64_t tid,
+                         std::string_view args) {
+    if (!first) out += ",";
+    first = false;
+    out += "{\"name\":\"" + json_escape(name) + "\",\"cat\":\"" +
+           json_escape(name.substr(0, name.find('.'))) + "\",\"ph\":\"X\",\"ts\":" +
+           std::to_string(ts_us) + ",\"dur\":" + std::to_string(dur_us) +
+           ",\"pid\":1,\"tid\":" + std::to_string(tid);
+    if (!args.empty()) {
+        out += ",\"args\":";
+        out += args;
+    }
+    out += "}";
 }
 
 std::string TraceRecorder::flat_profile() const {
@@ -105,27 +118,44 @@ TraceRecorder& tracer() {
     return recorder;
 }
 
-ScopedSpan::ScopedSpan(std::string_view name, std::string_view category)
-    : active_(tracer().enabled()) {
-    if (!active_) return;
+PhaseSite::PhaseSite(std::string_view name)
+    : name_(name),
+      time_us_(metrics().histogram(name_ + ".time_us")),
+      cost_(costs().cell(name_)) {}
+
+Phase::Phase(const PhaseSite& site, std::uint64_t* elapsed_us)
+    : site_(site),
+      request_(current_trace()),
+      elapsed_us_(elapsed_us),
+      process_(tracer().enabled()),
+      metered_(metrics_enabled()) {
+    if (!live()) return;
     start_ns_ = monotonic_ns();
-    name_ = name;
-    category_ = category;
-    t_child_ns.push_back(0);
+    if (request_ != nullptr) span_ = request_->begin_span(site_.name(), start_ns_);
+    if (process_) t_child_ns.push_back(0);
 }
 
-ScopedSpan::~ScopedSpan() {
-    if (!active_) return;
+Phase::~Phase() {
+    if (!live()) return;
     std::uint64_t end_ns = monotonic_ns();
+    // Whole microseconds between the two readings, rounded the way
+    // TraceContext rounds a span, so every sink gets the same number.
+    std::uint64_t us = end_ns / 1000 - start_ns_ / 1000;
+    if (elapsed_us_ != nullptr) *elapsed_us_ = us;
+    if (request_ != nullptr) request_->end_span(span_, end_ns);
+    if (metered_) {
+        site_.time_us_.observe(us);
+        site_.cost_.observe(us);
+    }
+    if (!process_) return;
     std::uint64_t dur_ns = end_ns - start_ns_;
     std::uint64_t child_ns = t_child_ns.empty() ? 0 : t_child_ns.back();
     if (!t_child_ns.empty()) t_child_ns.pop_back();
     if (!t_child_ns.empty()) t_child_ns.back() += dur_ns;
     SpanEvent event;
-    event.name = std::move(name_);
-    event.category = std::move(category_);
+    event.name = site_.name();
     event.start_us = start_ns_ / 1000;
-    event.duration_us = dur_ns / 1000;
+    event.duration_us = us;
     event.self_us = (dur_ns - std::min(child_ns, dur_ns)) / 1000;
     event.thread = this_thread_index();
     event.depth = static_cast<std::uint32_t>(t_child_ns.size());

@@ -1,6 +1,7 @@
 #include "srv/service.hpp"
 
-#include "obs/costtable.hpp"
+#include <limits>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "srv/audit.hpp"
@@ -10,10 +11,10 @@ namespace agenp::srv {
 
 namespace {
 
-std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
-    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                          std::chrono::steady_clock::now() - since)
-                                          .count());
+// Whole microseconds between two monotonic_ns() readings, rounded the way
+// the request's trace spans are.
+std::uint64_t us_between(std::uint64_t from_ns, std::uint64_t to_ns) {
+    return to_ns / 1000 - from_ns / 1000;
 }
 
 }  // namespace
@@ -67,14 +68,17 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
 
 std::future<Decision> DecisionService::submit(cfg::TokenString request,
                                               SubmitOptions submit_options) {
-    auto now = std::chrono::steady_clock::now();
+    std::uint64_t now_ns = obs::monotonic_ns();
     Task task;
     task.tokens = std::move(request);
-    task.enqueued = now;
+    task.enqueued_ns = now_ns;
     std::chrono::microseconds timeout = submit_options.timeout;
     if (timeout.count() <= 0) timeout = options_.default_timeout;
-    task.deadline = timeout.count() > 0 ? now + timeout
-                                        : std::chrono::steady_clock::time_point::max();
+    task.deadline_ns =
+        timeout.count() > 0
+            ? now_ns + static_cast<std::uint64_t>(
+                           std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count())
+            : std::numeric_limits<std::uint64_t>::max();
     task.trace_id = options_.id_offset +
                     (submitted_.fetch_add(1, std::memory_order_relaxed) + 1) * options_.id_stride;
     task.client_id = submit_options.client_id;
@@ -88,8 +92,8 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
         if (options_.trace.slow_threshold_us > 0 || sampled) {
             task.trace = std::make_unique<obs::TraceContext>(task.trace_id);
             task.trace->set_client(task.client_id);
-            task.root_span = task.trace->begin_span("srv.request");
-            task.queue_span = task.trace->begin_span("srv.queue_wait");
+            task.root_span = task.trace->begin_span("srv.request", now_ns);
+            task.queue_span = task.trace->begin_span("srv.queue_wait", now_ns);
         }
     }
     auto future = task.promise.get_future();
@@ -217,9 +221,9 @@ void DecisionService::worker_loop() {
     }
 }
 
-void DecisionService::maybe_capture(Task& task, std::uint64_t total_us) {
+void DecisionService::maybe_capture(Task& task, std::uint64_t now_ns, std::uint64_t total_us) {
     if (task.trace == nullptr) return;
-    task.trace->end_span(task.root_span);
+    task.trace->end_span(task.root_span, now_ns);
     const TraceOptions& opts = options_.trace;
     const char* reason = nullptr;
     if (opts.slow_threshold_us > 0 && total_us >= opts.slow_threshold_us) {
@@ -239,8 +243,9 @@ void DecisionService::maybe_capture(Task& task, std::uint64_t total_us) {
 }
 
 void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
+    std::uint64_t now_ns = obs::monotonic_ns();
     decision.outcome = outcome;
-    decision.latency_us = elapsed_us(task.enqueued);
+    decision.latency_us = us_between(task.enqueued_ns, now_ns);
     decision.trace_id = task.trace_id;
     if (obs::metrics_enabled()) {
         static obs::Histogram& latency = obs::metrics().histogram("srv.latency_us");
@@ -277,20 +282,28 @@ void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
         entry.solve_us = task.solve_us;
         options_.audit->record(std::move(entry));
     }
-    maybe_capture(task, decision.latency_us);
+    maybe_capture(task, now_ns, decision.latency_us);
 }
 
 Decision DecisionService::process(Task& task) {
-    task.queue_us = elapsed_us(task.enqueued);
-    if (task.trace != nullptr) task.trace->end_span(task.queue_span);
-    // Deeper layers (PDP, membership, solver call sites) pick the context
-    // up through obs::current_trace() for the rest of the evaluation.
+    static const obs::PhaseSite kDecide("srv.decide");
+    static const obs::PhaseSite kContext("srv.context");
+    static const obs::PhaseSite kCacheProbe("srv.cache_probe");
+    static const obs::PhaseSite kSolve("srv.solve");
+    static const obs::PhaseSite kMonitor("srv.monitor");
+    // Entered before the request's trace is installed: in the request tree
+    // the root span srv.request already covers this work.
+    obs::Phase decide(kDecide);
+    std::uint64_t dequeued_ns = obs::monotonic_ns();
+    task.queue_us = us_between(task.enqueued_ns, dequeued_ns);
+    if (task.trace != nullptr) task.trace->end_span(task.queue_span, dequeued_ns);
+    // Every phase below (PDP, membership, solver) adds its span to the
+    // request's trace through obs::current_trace().
     obs::TraceContextScope trace_scope(task.trace.get());
-    obs::ScopedSpan span("srv.decide", "srv");
     Decision decision;
     decision.trace_id = task.trace_id;
 
-    if (std::chrono::steady_clock::now() >= task.deadline) {
+    if (dequeued_ns >= task.deadline_ns) {
         expired_.fetch_add(1, std::memory_order_relaxed);
         if (obs::metrics_enabled()) {
             static obs::Counter& expired = obs::metrics().counter("srv.expired");
@@ -305,25 +318,20 @@ Decision DecisionService::process(Task& task) {
         obs::ProfiledReadLock state(state_mu_);
         asp::Program context;
         {
-            obs::TracePhase phase(task.trace.get(), "srv.context");
+            obs::Phase phase(kContext);
             context = ams_.pip().gather();
         }
         decision.model_version = ams_.model_version();
 
         auto solve = [&] {
-            obs::TracePhase phase(task.trace.get(), "srv.solve");
-            auto start = std::chrono::steady_clock::now();
-            bool verdict = ams_.decide(task.tokens, context);
-            task.solve_us = elapsed_us(start);
-            return verdict;
+            obs::Phase phase(kSolve, &task.solve_us);
+            return ams_.decide(task.tokens, context);
         };
         if (options_.use_cache) {
             CacheKey key = DecisionCache::make_key(task.tokens, context);
             std::optional<bool> hit;
             {
-                obs::TracePhase phase(task.trace.get(), "srv.cache_probe");
-                static obs::CostCell& probe_cost = obs::costs().cell("srv.cache_probe");
-                obs::ScopedCost cost(probe_cost);
+                obs::Phase phase(kCacheProbe);
                 hit = cache_.lookup(key, decision.model_version);
             }
             if (hit) {
@@ -344,7 +352,7 @@ Decision DecisionService::process(Task& task) {
         record.permitted = permitted;
         record.model_version = decision.model_version;
         {
-            obs::TracePhase phase(task.trace.get(), "srv.monitor");
+            obs::Phase phase(kMonitor);
             obs::ProfiledMutexLock monitor(monitor_mu_);
             decision.monitor_index = ams_.monitor().record(std::move(record));
         }

@@ -217,8 +217,9 @@ private:
     struct Task {
         cfg::TokenString tokens;
         std::promise<Decision> promise;
-        std::chrono::steady_clock::time_point enqueued;
-        std::chrono::steady_clock::time_point deadline;  // max() = none
+        // obs::monotonic_ns() readings: the clock the request's spans use.
+        std::uint64_t enqueued_ns = 0;
+        std::uint64_t deadline_ns = 0;  // UINT64_MAX = none
         std::uint64_t trace_id = 0;
         std::uint64_t client_id = 0;  // transport connection id; 0 = none
         std::function<void(const Decision&)> on_complete;
@@ -232,7 +233,8 @@ private:
     void worker_loop();
     Decision process(Task& task);
     void finish(Decision& decision, Task& task, Outcome outcome);
-    void maybe_capture(Task& task, std::uint64_t total_us);
+    // `now_ns` is the completion reading that ended the request.
+    void maybe_capture(Task& task, std::uint64_t now_ns, std::uint64_t total_us);
 
     framework::AutonomousManagedSystem& ams_;
     ServiceOptions options_;

@@ -44,7 +44,8 @@ std::string StateStore::snapshot_path() const { return options_.dir + "/snapshot
 std::string StateStore::wal_path() const { return options_.dir + "/wal.agenp"; }
 
 RestoreResult StateStore::restore() {
-    obs::ScopedSpan span("store.restore");
+    static const obs::PhaseSite kRestore("store.restore");
+    obs::Phase phase(kRestore);
     RestoreResult out;
 
     std::string bytes;
@@ -96,7 +97,8 @@ RestoreResult StateStore::restore() {
 }
 
 bool StateStore::save_snapshot(SnapshotData data, std::string* error) {
-    obs::ScopedSpan span("store.snapshot");
+    static const obs::PhaseSite kSnapshot("store.snapshot");
+    obs::Phase phase(kSnapshot);
     data.created_unix_s = wall_unix_ms() / 1000;
     std::string bytes = encode_snapshot(data);
     std::string io_error;

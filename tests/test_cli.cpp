@@ -210,7 +210,8 @@ TEST(Run, StatsFlagDumpsNonzeroTelemetry) {
         EXPECT_NE(text.find(metric), std::string::npos) << metric;
     }
     // Per-phase AGENP latency histograms are present.
-    for (const char* hist : {"agenp.padap.time_us", "agenp.prep.time_us", "agenp.pdp.time_us"}) {
+    for (const char* hist : {"agenp.padap.adapt.time_us", "agenp.prep.refresh.time_us",
+                             "agenp.pdp.decide.time_us"}) {
         EXPECT_NE(text.find(hist), std::string::npos) << hist;
     }
 }

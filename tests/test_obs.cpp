@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/costtable.hpp"
 #include "obs/lockprof.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
@@ -435,33 +436,45 @@ TEST(Registry, GlobalRegistryIsASingleton) {
     EXPECT_EQ(&metrics(), &metrics());
 }
 
-TEST(Metrics, DisabledSkipsScopedTimer) {
-    Histogram h;
+TEST(Metrics, DisabledSkipsPhaseHistogram) {
+    PhaseSite site("test.metrics.gated");
+    Histogram& h = metrics().histogram("test.metrics.gated.time_us");
+    h.reset();
     set_metrics_enabled(false);
-    { ScopedTimer t(h); }
+    { Phase phase(site); }
     set_metrics_enabled(true);
     EXPECT_EQ(h.snapshot().count, 0u);
-    { ScopedTimer t(h); }
+    { Phase phase(site); }
     EXPECT_EQ(h.snapshot().count, 1u);
 }
 
-// --- tracing -----------------------------------------------------------------
+// --- phases and the process tracer -------------------------------------------
 
 TEST(Trace, DisabledRecorderCapturesNothing) {
+    // Every sink off: no event, no histogram sample, no cost observation.
+    PhaseSite site("test.trace.invisible");
+    Histogram& h = metrics().histogram("test.trace.invisible.time_us");
     tracer().set_enabled(false);
     tracer().clear();
-    { ScopedSpan span("invisible"); }
+    set_metrics_enabled(false);
+    std::uint64_t calls = costs().cell("test.trace.invisible").calls();
+    { Phase phase(site); }
+    set_metrics_enabled(true);
     EXPECT_TRUE(tracer().events().empty());
+    EXPECT_EQ(h.snapshot().count, 0u);
+    EXPECT_EQ(costs().cell("test.trace.invisible").calls(), calls);
 }
 
 TEST(Trace, SpanNestingAndSelfTime) {
+    PhaseSite outer_site("outer");
+    PhaseSite inner_site("inner");
     tracer().set_enabled(true);
     tracer().clear();
     {
-        ScopedSpan outer("outer", "test");
+        Phase outer(outer_site);
         spin_for_us(2000);
         {
-            ScopedSpan inner("inner", "test");
+            Phase inner(inner_site);
             spin_for_us(2000);
         }
         spin_for_us(1000);
@@ -470,7 +483,7 @@ TEST(Trace, SpanNestingAndSelfTime) {
 
     auto events = tracer().events();
     ASSERT_EQ(events.size(), 2u);
-    // Spans are recorded at destruction: inner first, outer second.
+    // Phases are recorded at exit: inner first, outer second.
     const auto& inner = events[0];
     const auto& outer = events[1];
     EXPECT_EQ(inner.name, "inner");
@@ -491,13 +504,19 @@ TEST(Trace, SpanNestingAndSelfTime) {
 }
 
 TEST(Trace, ChromeTraceJsonIsWellFormed) {
+    PhaseSite a_site("phase.a");
+    PhaseSite b_site("store.b");
     tracer().set_enabled(true);
     tracer().clear();
     {
-        ScopedSpan a("phase.a", "test");
-        ScopedSpan b("phase \"b\"\\nested", "test");
+        Phase a(a_site);
+        Phase b(b_site);
         spin_for_us(100);
     }
+    // Names reach the writer unvalidated when recorded directly.
+    SpanEvent odd;
+    odd.name = "phase \"b\"\\nested";
+    tracer().record(odd);
     tracer().set_enabled(false);
 
     auto json = tracer().chrome_trace_json();
@@ -505,14 +524,17 @@ TEST(Trace, ChromeTraceJsonIsWellFormed) {
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-    EXPECT_NE(json.find("phase.a"), std::string::npos);
+    // The category is the name's first segment.
+    EXPECT_NE(json.find("\"name\":\"phase.a\",\"cat\":\"phase\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"name\":\"store.b\",\"cat\":\"store\""), std::string::npos) << json;
 }
 
 TEST(Trace, FlatProfileAggregatesByName) {
+    PhaseSite site("repeated");
     tracer().set_enabled(true);
     tracer().clear();
     for (int i = 0; i < 3; ++i) {
-        ScopedSpan span("repeated", "test");
+        Phase phase(site);
         spin_for_us(200);
     }
     tracer().set_enabled(false);
@@ -523,11 +545,42 @@ TEST(Trace, FlatProfileAggregatesByName) {
 }
 
 TEST(Trace, ClearDropsEvents) {
+    PhaseSite site("to_drop");
     tracer().set_enabled(true);
-    { ScopedSpan span("to-drop"); }
+    { Phase phase(site); }
     tracer().clear();
     tracer().set_enabled(false);
     EXPECT_TRUE(tracer().events().empty());
+}
+
+TEST(Phase, OneIntervalFeedsEverySink) {
+    PhaseSite site("test.phase.every_sink");
+    Histogram& h = metrics().histogram("test.phase.every_sink.time_us");
+    CostCell& cost = costs().cell("test.phase.every_sink");
+    h.reset();
+    std::uint64_t cost_before = cost.total_us();
+    std::uint64_t elapsed = 0;
+    TraceContext ctx(5);
+    tracer().set_enabled(true);
+    tracer().clear();
+    {
+        TraceContextScope scope(&ctx);
+        Phase phase(site, &elapsed);
+        spin_for_us(1500);
+    }
+    tracer().set_enabled(false);
+
+    auto events = tracer().events();
+    ASSERT_EQ(events.size(), 1u);
+    ASSERT_EQ(ctx.spans().size(), 1u);
+    std::uint64_t span_us = ctx.spans()[0].duration_us;
+    EXPECT_GE(span_us, 1500u);
+    EXPECT_EQ(h.snapshot().count, 1u);
+    EXPECT_EQ(h.snapshot().sum, span_us);
+    EXPECT_EQ(cost.total_us() - cost_before, span_us);
+    EXPECT_EQ(events[0].duration_us, span_us);
+    EXPECT_EQ(elapsed, span_us);
+    EXPECT_EQ(events[0].start_us, ctx.spans()[0].start_us);
 }
 
 // --- lock-contention profiler ---
@@ -739,14 +792,14 @@ TEST(LockProf, SnapshotFindsNamedLock) {
 
 TEST(ReqTrace, SpanTreeRecordsParentLinks) {
     TraceContext ctx(7);
-    auto root = ctx.begin_span("request");
-    auto queue = ctx.begin_span("queue");
-    ctx.end_span(queue);
-    auto solve = ctx.begin_span("solve");
-    auto ground = ctx.begin_span("ground");
-    ctx.end_span(ground);
-    ctx.end_span(solve);
-    ctx.end_span(root);
+    auto root = ctx.begin_span("request", 0);
+    auto queue = ctx.begin_span("queue", 0);
+    ctx.end_span(queue, 1000);
+    auto solve = ctx.begin_span("solve", 1000);
+    auto ground = ctx.begin_span("ground", 1000);
+    ctx.end_span(ground, 2000);
+    ctx.end_span(solve, 3000);
+    ctx.end_span(root, 3000);
 
     ASSERT_EQ(ctx.spans().size(), 4u);
     EXPECT_EQ(ctx.trace_id(), 7u);
@@ -754,19 +807,21 @@ TEST(ReqTrace, SpanTreeRecordsParentLinks) {
     EXPECT_EQ(ctx.spans()[queue].parent, static_cast<std::int32_t>(root));
     EXPECT_EQ(ctx.spans()[solve].parent, static_cast<std::int32_t>(root));
     EXPECT_EQ(ctx.spans()[ground].parent, static_cast<std::int32_t>(solve));
-    EXPECT_EQ(ctx.find("solve"), solve);
-    EXPECT_EQ(ctx.find("missing"), TraceContext::npos);
+    EXPECT_EQ(ctx.spans()[solve].name, "solve");
 }
 
 TEST(ReqTrace, DurationsNestMonotonically) {
+    // The context takes the caller's readings: durations are whole
+    // microseconds between them, end/1000 - start/1000.
     TraceContext ctx(1);
-    auto root = ctx.begin_span("request");
-    auto inner = ctx.begin_span("work");
-    spin_for_us(200);
-    ctx.end_span(inner);
-    ctx.end_span(root);
-    EXPECT_GT(ctx.spans()[inner].duration_us, 0u);
-    EXPECT_GE(ctx.spans()[root].duration_us, ctx.spans()[inner].duration_us);
+    auto root = ctx.begin_span("request", 1'000'000);
+    auto inner = ctx.begin_span("work", 1'000'500);
+    ctx.end_span(inner, 1'201'000);
+    ctx.end_span(root, 1'300'999);
+    EXPECT_EQ(ctx.spans()[root].start_us, 1000u);
+    EXPECT_EQ(ctx.spans()[inner].start_us, 1000u);
+    EXPECT_EQ(ctx.spans()[inner].duration_us, 201u);
+    EXPECT_EQ(ctx.spans()[root].duration_us, 300u);
     EXPECT_EQ(ctx.total_us(), ctx.spans()[root].duration_us);
 }
 
@@ -790,12 +845,14 @@ TEST(ReqTrace, ScopeInstallsAndRestoresThreadLocal) {
     EXPECT_EQ(seen, nullptr);
 }
 
-TEST(ReqTrace, TracePhaseOnNullContextIsANoOp) {
-    TracePhase phase(nullptr, "ignored");  // must not crash or allocate a span
+TEST(ReqTrace, PhaseAddsASpanOnlyUnderAnInstalledContext) {
+    PhaseSite ignored("ignored");
+    PhaseSite real("real");
+    { Phase phase(ignored); }  // no context installed: must not crash
     TraceContext ctx(3);
     {
         TraceContextScope scope(&ctx);
-        TracePhase live(current_trace(), "real");
+        Phase live(real);
     }
     ASSERT_EQ(ctx.spans().size(), 1u);
     EXPECT_EQ(ctx.spans()[0].name, "real");
@@ -803,19 +860,21 @@ TEST(ReqTrace, TracePhaseOnNullContextIsANoOp) {
 
 TEST(ReqTrace, ChromeTraceJsonCarriesTraceIdLanes) {
     TraceContext a(11), b(12);
-    {
-        auto root = a.begin_span("request");
-        a.end_span(root);
-    }
-    {
-        auto root = b.begin_span("request");
-        b.end_span(root);
-    }
+    a.end_span(a.begin_span("srv.request", 5000), 9000);
+    b.set_client(4);
+    b.end_span(b.begin_span("srv.request", 6000), 7000);
+    auto inner = b.begin_span("asp \"odd\"", 6000);
+    b.end_span(inner, 6500);
     std::string json = chrome_trace_json({&a, &b});
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("\"tid\":11"), std::string::npos);
     EXPECT_NE(json.find("\"tid\":12"), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"srv.request\",\"cat\":\"srv\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"ts\":5,\"dur\":4"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"args\":{\"trace_id\":12,\"parent\":-1,\"client\":4}"),
+              std::string::npos)
+        << json;
 }
 
 }  // namespace

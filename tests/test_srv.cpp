@@ -525,48 +525,65 @@ TEST(DecisionService, FlightRingSeesEveryRequest) {
 
 // --- tail-based trace capture ---
 
+// One line per span, "name<parent name", in span order: the request's
+// layers and how they nest, without timings.
+std::string span_tree(const obs::TraceContext& trace) {
+    std::string out;
+    for (const auto& span : trace.spans()) {
+        out += span.name;
+        if (span.parent >= 0) out += "<" + trace.spans()[span.parent].name;
+        out += "\n";
+    }
+    return out;
+}
+
 TEST(DecisionService, SampledCaptureProducesSpanTree) {
-    auto ams = make_demo_ams(4, /*context_weight=*/0);
-    ServiceOptions options = service_options(2, 1024, /*use_cache=*/false);
-    options.use_memo = false;  // keep the full ground+solve path in every trace
-    options.trace.sample_every = 1;  // capture everything
-    options.trace.max_captured = 64;
-    DecisionService service(ams, options);
-    std::vector<std::future<Decision>> futures;
-    for (int i = 0; i < 8; ++i) {
-        futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i % 4))));
-    }
-    std::set<std::uint64_t> decision_ids;
-    for (auto& f : futures) decision_ids.insert(f.get().trace_id);
-    service.drain();
+    // A Membership-strategy decision with the cache off, memo off and on.
+    // Each request is decided twice, a drain apart; with the memo on the
+    // second decision finds the root's verdict and skips the solver.
+    const std::string solved =
+        "srv.request\nsrv.queue_wait<srv.request\nsrv.context<srv.request\n"
+        "srv.solve<srv.request\nagenp.pdp.decide<srv.solve\nasg.membership<agenp.pdp.decide\n"
+        "asp.ground<asg.membership\nasp.solve<asg.membership\nsrv.monitor<srv.request\n";
+    const std::string recalled =
+        "srv.request\nsrv.queue_wait<srv.request\nsrv.context<srv.request\n"
+        "srv.solve<srv.request\nagenp.pdp.decide<srv.solve\nasg.membership<agenp.pdp.decide\n"
+        "asp.ground<asg.membership\nsrv.monitor<srv.request\n";
+    for (bool use_memo : {false, true}) {
+        SCOPED_TRACE(use_memo ? "memo on" : "memo off");
+        auto ams = make_demo_ams(4, /*context_weight=*/0);
+        ASSERT_EQ(ams.strategy(), framework::DecisionStrategy::Membership);
+        ServiceOptions options = service_options(2, 1024, /*use_cache=*/false);
+        options.use_memo = use_memo;
+        options.trace.sample_every = 1;  // capture everything
+        options.trace.max_captured = 64;
+        DecisionService service(ams, options);
+        std::set<std::uint64_t> decision_ids;
+        for (int round = 0; round < 2; ++round) {
+            std::vector<std::future<Decision>> futures;
+            for (int i = 0; i < 4; ++i) {
+                futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i))));
+            }
+            for (auto& f : futures) decision_ids.insert(f.get().trace_id);
+            service.drain();
+        }
 
-    auto captured = service.captured_traces();
-    ASSERT_EQ(captured.size(), 8u);
-    for (const auto& c : captured) {
-        EXPECT_EQ(c.reason, "sample");
-        EXPECT_TRUE(decision_ids.count(c.trace_id())) << c.trace_id();
-        // The acceptance shape: a queue-wait span and a solve span in the
-        // same trace, parented under the root request span.
-        const auto& spans = c.trace.spans();
-        auto root = c.trace.find("srv.request");
-        auto queue = c.trace.find("srv.queue_wait");
-        auto solve = c.trace.find("srv.solve");
-        ASSERT_NE(root, obs::TraceContext::npos);
-        ASSERT_NE(queue, obs::TraceContext::npos);
-        ASSERT_NE(solve, obs::TraceContext::npos);
-        EXPECT_EQ(spans[root].parent, -1);
-        EXPECT_EQ(spans[queue].parent, static_cast<std::int32_t>(root));
-        EXPECT_EQ(spans[solve].parent, static_cast<std::int32_t>(root));
-        // Cache off: the solve path reaches membership and the solver.
-        EXPECT_NE(c.trace.find("asg.membership"), obs::TraceContext::npos);
-        EXPECT_NE(c.trace.find("asp.solve"), obs::TraceContext::npos);
-        EXPECT_GT(c.trace.total_us(), 0u);
-    }
-    EXPECT_EQ(service.snapshot_stats().traces_captured, 8u);
+        auto captured = service.captured_traces();
+        ASSERT_EQ(captured.size(), 8u);
+        for (std::size_t i = 0; i < captured.size(); ++i) {
+            const auto& c = captured[i];
+            EXPECT_EQ(c.reason, "sample");
+            EXPECT_TRUE(decision_ids.count(c.trace_id())) << c.trace_id();
+            bool second_round = i >= 4;
+            EXPECT_EQ(span_tree(c.trace), use_memo && second_round ? recalled : solved);
+            EXPECT_GT(c.trace.total_us(), 0u);
+        }
+        EXPECT_EQ(service.snapshot_stats().traces_captured, 8u);
 
-    std::string json = service.captured_traces_json();
-    EXPECT_NE(json.find("srv.queue_wait"), std::string::npos);
-    EXPECT_NE(json.find("srv.solve"), std::string::npos);
+        std::string json = service.captured_traces_json();
+        EXPECT_NE(json.find("srv.queue_wait"), std::string::npos);
+        EXPECT_NE(json.find("srv.solve"), std::string::npos);
+    }
 }
 
 TEST(DecisionService, SlowThresholdKeepsOnlySlowRequests) {

@@ -1,17 +1,20 @@
 // RollingWindow + CostTable: bucket rotation across ring boundaries,
 // empty-window quantiles, window-vs-cumulative consistency, concurrent
-// writers (exercised under TSan in CI), and the EWMA cost/frequency math.
+// writers (exercised under TSan in CI), the EWMA cost/frequency math, and
+// the phases that feed the process-wide cost table.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/costtable.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "obs/window.hpp"
 
 namespace obs = agenp::obs;
@@ -317,24 +320,59 @@ TEST(CostTable, ConcurrentObserversStayConsistent) {
     EXPECT_NEAR(cell.ewma_us(), 10.0, 0.01);
 }
 
-TEST(ScopedCost, ObservesElapsedTime) {
-    obs::CostTable table;
-    obs::CostCell& cell = table.cell("timed");
+TEST(Phase, ObservesElapsedTimeIntoItsCostCell) {
+    obs::PhaseSite site("test.window.timed");
+    obs::CostCell& cell = obs::costs().cell("test.window.timed");
+    std::uint64_t calls = cell.calls();
+    std::uint64_t total = cell.total_us();
     {
-        obs::ScopedCost cost(cell);
+        obs::Phase phase(site);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    EXPECT_EQ(cell.calls(), 1u);
-    EXPECT_GE(cell.total_us(), 1000u);
+    EXPECT_EQ(cell.calls(), calls + 1);
+    EXPECT_GE(cell.total_us() - total, 1000u);
 }
 
-TEST(ScopedCost, DisabledMetricsSkipObservation) {
-    obs::CostTable table;
-    obs::CostCell& cell = table.cell("gated");
+TEST(Phase, DisabledMetricsSkipObservation) {
+    obs::PhaseSite site("test.window.gated");
+    obs::CostCell& cell = obs::costs().cell("test.window.gated");
+    std::uint64_t calls = cell.calls();
+    std::uint64_t elapsed = 0;
     obs::set_metrics_enabled(false);
     {
-        obs::ScopedCost cost(cell);
+        obs::Phase phase(site);
+    }
+    {
+        // A caller that keeps the interval itself still gets it.
+        obs::Phase phase(site, &elapsed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     obs::set_metrics_enabled(true);
-    EXPECT_EQ(cell.calls(), 0u);
+    EXPECT_EQ(cell.calls(), calls);
+    EXPECT_GE(elapsed, 1000u);
+}
+
+TEST(Phase, ConcurrentPhasesFeedOneSiteConsistently) {
+    static const obs::PhaseSite site("test.window.contended");
+    obs::CostCell& cell = obs::costs().cell("test.window.contended");
+    obs::Histogram& hist = obs::metrics().histogram("test.window.contended.time_us");
+    std::uint64_t calls = cell.calls();
+    std::uint64_t total = cell.total_us();
+    obs::Histogram::Snapshot before = hist.snapshot();
+    std::vector<std::thread> threads;
+    threads.reserve(4);
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([] {
+            for (int i = 0; i < 2000; ++i) obs::Phase phase(site);
+        });
+    }
+    std::thread ticker([] {
+        for (int i = 0; i < 100; ++i) obs::costs().tick();
+    });
+    for (std::thread& t : threads) t.join();
+    ticker.join();
+    obs::Histogram::Snapshot after = hist.snapshot();
+    EXPECT_EQ(cell.calls() - calls, 8000u);
+    EXPECT_EQ(after.count - before.count, 8000u);
+    EXPECT_EQ(after.sum - before.sum, cell.total_us() - total);
 }
