@@ -4,17 +4,21 @@
 // autonomous parties. google-benchmark microbenches over:
 //   - grounding (facts sweep),
 //   - answer-set solving (choice-space sweep),
-//   - ASG membership (string-length sweep),
+//   - ASG membership (string-length sweep; the memoised miss path),
 //   - hypothesis-space generation and end-to-end learning (example sweep).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/lint.hpp"
 #include "asg/membership.hpp"
+#include "asg/memo.hpp"
 #include "asp/grounder.hpp"
 #include "asp/parser.hpp"
 #include "asp/solver.hpp"
@@ -111,6 +115,62 @@ void BM_AsgMembershipCav(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_AsgMembershipCav);
+
+// The serving miss path with the grounding memo on, as in perfbench's
+// serve_cold but smaller: three children with 16 alternatives each under a
+// root that joins 24 load/1 context facts pairwise. The inner fragments are
+// memoised up front, and every iteration decides a sentence whose root
+// verdict is not memoised yet: its root is composed, ground and solved.
+void BM_AsgMembershipNovelRoot(benchmark::State& state) {
+    constexpr int kAlternatives = 16;
+    std::string text =
+        "request -> \"do\" task \"in\" zone \"by\" unit {\n"
+        "  :- requires(L)@2, maxloa(M), L > M.\n"
+        "  :- risk(R)@4, cover(C)@6, R > C + 2.\n"
+        "  stress(X, Y) :- load(X), load(Y).\n"
+        "}\n";
+    for (int i = 0; i < kAlternatives; ++i) {
+        auto n = std::to_string(i);
+        text += "task -> \"task_" + n + "\" { requires(" + std::to_string(i % 5 + 1) + "). }\n";
+        text += "zone -> \"zone_" + n + "\" { risk(" + std::to_string(i % 6) + "). }\n";
+        text += "unit -> \"unit_" + n + "\" { cover(" + std::to_string(i % 4) + "). }\n";
+    }
+    auto grammar = asg::AnswerSetGrammar::parse(text);
+    std::string context_text = "maxloa(3).\n";
+    for (int i = 1; i <= 24; ++i) context_text += "load(" + std::to_string(i) + ").\n";
+    auto context = asp::parse_program(context_text);
+    auto sentence = [](int t, int z, int u) {
+        return cfg::tokenize("do task_" + std::to_string(t) + " in zone_" + std::to_string(z) +
+                             " by unit_" + std::to_string(u));
+    };
+    // The diagonal warms the inner fragments; every other sentence has a
+    // distinct root.
+    std::vector<cfg::TokenString> diagonal;
+    std::vector<cfg::TokenString> novel;
+    for (int t = 0; t < kAlternatives; ++t) {
+        for (int z = 0; z < kAlternatives; ++z) {
+            for (int u = 0; u < kAlternatives; ++u) {
+                (t == z && z == u ? diagonal : novel).push_back(sentence(t, z, u));
+            }
+        }
+    }
+
+    std::unique_ptr<asg::GroundingMemo> memo;
+    asg::MembershipOptions options;
+    std::size_t next = novel.size();
+    for (auto _ : state) {
+        if (next == novel.size()) {  // every root decided: start a fresh memo
+            state.PauseTiming();
+            memo = std::make_unique<asg::GroundingMemo>();
+            options.memo = memo.get();
+            for (const auto& s : diagonal) asg::check_membership(grammar, s, context, options);
+            next = 0;
+            state.ResumeTiming();
+        }
+        benchmark::DoNotOptimize(asg::check_membership(grammar, novel[next++], context, options));
+    }
+}
+BENCHMARK(BM_AsgMembershipNovelRoot);
 
 // --- hypothesis space + learning --------------------------------------------
 

@@ -350,16 +350,16 @@ MemoizedGrounding::Root MemoizedGrounding::ground_root(const cfg::ParseNode& tre
     }
     ++local_misses_;
     // At the parse root the relative names are absolute, so the composed
-    // rules intern directly into the solver program; the root keeps no
-    // fragment of its own.
+    // rules intern directly into the solver program (each atom moved in,
+    // not copied); the root keeps no fragment of its own.
     auto program = std::make_shared<asp::GroundProgram>();
     compose(tree, [&](asp::AtomRule&& rule) {
         asp::GroundRule ground_rule;
-        if (rule.head) ground_rule.head = program->intern(*rule.head);
+        if (rule.head) ground_rule.head = program->intern(std::move(*rule.head));
         ground_rule.pos.reserve(rule.pos.size());
-        for (const auto& a : rule.pos) ground_rule.pos.push_back(program->intern(a));
+        for (auto& a : rule.pos) ground_rule.pos.push_back(program->intern(std::move(a)));
         ground_rule.neg.reserve(rule.neg.size());
-        for (const auto& a : rule.neg) ground_rule.neg.push_back(program->intern(a));
+        for (auto& a : rule.neg) ground_rule.neg.push_back(program->intern(std::move(a)));
         program->add_rule(std::move(ground_rule));
     });
     out.program = std::move(program);

@@ -4,40 +4,30 @@
 
 namespace agenp::asp {
 
-AtomId GroundProgram::intern(const Atom& atom) {
-    auto it = index_.find(atom);
-    if (it != index_.end()) return it->second;
-    auto id = static_cast<AtomId>(atoms_.size());
-    atoms_.push_back(atom);
-    index_.emplace(atom, id);
-    return id;
-}
-
-AtomId GroundProgram::find(const Atom& atom) const {
-    auto it = index_.find(atom);
-    return it == index_.end() ? kNoHead : it->second;
-}
-
 namespace {
 
 // Deduplicates in place while preserving first-occurrence order (rule bodies
 // keep the order they were written in, which matters for readable output).
+// Bodies are short, so a scan of the kept prefix beats a set.
 void dedupe_keep_order(std::vector<AtomId>& ids) {
-    std::vector<AtomId> seen;
-    std::size_t out = 0;
-    for (auto id : ids) {
-        if (std::find(seen.begin(), seen.end(), id) == seen.end()) {
-            seen.push_back(id);
-            ids[out++] = id;
-        }
+    auto kept = ids.begin();
+    for (auto it = ids.begin(); it != ids.end(); ++it) {
+        if (std::find(ids.begin(), kept, *it) == kept) *kept++ = *it;
     }
-    ids.resize(out);
+    ids.erase(kept, ids.end());
 }
 
-std::vector<AtomId> sorted_ids(const std::vector<AtomId>& ids) {
-    std::vector<AtomId> out = ids;
+void sorted_copy(const std::vector<AtomId>& ids, std::vector<AtomId>& out) {
+    out.assign(ids.begin(), ids.end());
     std::sort(out.begin(), out.end());
-    return out;
+}
+
+// Whether the deduped `ids` hold exactly the elements of `sorted`.
+bool same_set(const std::vector<AtomId>& ids, const std::vector<AtomId>& sorted) {
+    if (ids.size() != sorted.size()) return false;
+    return std::all_of(ids.begin(), ids.end(), [&](AtomId id) {
+        return std::binary_search(sorted.begin(), sorted.end(), id);
+    });
 }
 
 // Order-insensitive structural hash for rule deduplication.
@@ -61,19 +51,16 @@ std::uint64_t rule_hash(AtomId head, const std::vector<AtomId>& sorted_pos,
 void GroundProgram::add_rule(GroundRule rule) {
     dedupe_keep_order(rule.pos);
     dedupe_keep_order(rule.neg);
-    std::vector<AtomId> spos = sorted_ids(rule.pos);
-    std::vector<AtomId> sneg = sorted_ids(rule.neg);
-    std::uint64_t h = rule_hash(rule.head, spos, sneg);
-    auto& slots = rule_index_[h];
-    for (std::size_t slot : slots) {
-        const GroundRule& existing = rules_[slot];
-        if (existing.head == rule.head && sorted_ids(existing.pos) == spos &&
-            sorted_ids(existing.neg) == sneg) {
-            return;
-        }
-    }
-    slots.push_back(rules_.size());
-    rules_.push_back(std::move(rule));
+    sorted_copy(rule.pos, sorted_pos_);
+    sorted_copy(rule.neg, sorted_neg_);
+    auto next = static_cast<std::int32_t>(rules_.size());
+    auto [id, inserted] = rule_index_.find_or_insert(
+        rule_hash(rule.head, sorted_pos_, sorted_neg_), next, [&](std::int32_t slot) {
+            const GroundRule& existing = rules_[static_cast<std::size_t>(slot)];
+            return existing.head == rule.head && same_set(existing.pos, sorted_pos_) &&
+                   same_set(existing.neg, sorted_neg_);
+        });
+    if (inserted) rules_.push_back(std::move(rule));
 }
 
 std::string GroundProgram::to_string() const {

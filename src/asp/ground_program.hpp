@@ -3,15 +3,14 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "asp/atom.hpp"
+#include "asp/atom_table.hpp"
 
 namespace agenp::asp {
 
-using AtomId = std::int32_t;
-inline constexpr AtomId kNoHead = -1;  // marks a constraint
+inline constexpr AtomId kNoHead = kNoAtom;  // marks a constraint
 
 struct GroundRule {
     AtomId head = kNoHead;
@@ -25,31 +24,33 @@ struct GroundRule {
 // insertion.
 class GroundProgram {
 public:
-    // Interns `atom` (must be ground) and returns its id.
-    AtomId intern(const Atom& atom);
+    // Interns `atom` (must be ground) and returns its id. Ids are dense and
+    // assigned in first-intern order; the rvalue form moves a new atom in.
+    AtomId intern(const Atom& atom) { return atoms_.insert(atom).first; }
+    AtomId intern(Atom&& atom) { return atoms_.insert(std::move(atom)).first; }
 
     // Returns the id of `atom` or kNoHead when never interned.
-    [[nodiscard]] AtomId find(const Atom& atom) const;
+    [[nodiscard]] AtomId find(const Atom& atom) const { return atoms_.find(atom); }
 
-    // Adds a rule; pos/neg are normalized (sorted, deduped) and structurally
-    // identical rules are dropped.
+    // Adds a rule; duplicate body ids are dropped (the first occurrence
+    // keeps its place) and rules equal up to body order are dropped.
     void add_rule(GroundRule rule);
 
-    [[nodiscard]] const Atom& atom(AtomId id) const { return atoms_[static_cast<std::size_t>(id)]; }
+    [[nodiscard]] const Atom& atom(AtomId id) const { return atoms_[id]; }
     [[nodiscard]] std::size_t atom_count() const { return atoms_.size(); }
     [[nodiscard]] const std::vector<GroundRule>& rules() const { return rules_; }
 
     [[nodiscard]] std::string to_string() const;
 
 private:
-    std::vector<Atom> atoms_;
-    std::unordered_map<Atom, AtomId> index_;
+    AtomTable atoms_;
     std::vector<GroundRule> rules_;
-    // Order-insensitive dedupe: hash over (head, sorted pos, sorted neg)
-    // to candidate rule slots, compared structurally on collision. Avoids
-    // materializing a key string per rule (the old scheme's main malloc
-    // churn on the miss path).
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> rule_index_;
+    // Order-insensitive dedupe: rule ids keyed by a hash over (head,
+    // sorted pos, sorted neg), compared as sets on a hash match.
+    HashIndex rule_index_;
+    // add_rule's sorted copies of the incoming body, reused across calls.
+    std::vector<AtomId> sorted_pos_;
+    std::vector<AtomId> sorted_neg_;
 };
 
 }  // namespace agenp::asp

@@ -1,8 +1,8 @@
 #include "asp/grounder.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "asp/substitution.hpp"
 #include "obs/metrics.hpp"
@@ -11,47 +11,52 @@
 namespace agenp::asp {
 namespace {
 
-// Order-sensitive structural hash of a pending instance; dedupe compares
-// the full rule on collision, so the hash only has to spread.
-std::uint64_t instance_hash(const AtomRule& rule) {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    mix(rule.head ? rule.head->hash() : 0x68656164ull);
-    mix(0x706f73ull);
-    for (const auto& a : rule.pos) mix(a.hash());
-    mix(0x6e6567ull);
-    for (const auto& a : rule.neg) mix(a.hash());
-    return h;
-}
+// A rule instance awaiting finalization, over the grounder's atom ids:
+// its body is `npos` positive then `nneg` negative ids at `body` in the
+// grounder's body pool.
+struct PendingRule {
+    AtomId head = kNoHead;
+    std::uint32_t body = 0;
+    std::uint32_t npos = 0;
+    std::uint32_t nneg = 0;
+};
 
-// Atoms derived so far, indexed by predicate for matching. Per-predicate
-// vectors carry two boundaries so the semi-naive rounds can address the
-// "old" span [0, old_end) and the "delta" span [old_end, cur_end); atoms
-// appended during the running round land beyond cur_end and form the next
-// delta.
+// Ground atoms met by one grounding, each interned once in an AtomTable.
+// An atom enters the table when it is derived (a seed or a rule head) or
+// when it appears under negation; only derived atoms are matched against
+// and count towards max_atoms. Per-predicate id lists carry two boundaries
+// so the semi-naive rounds can address the "old" span [0, old_end) and the
+// "delta" span [old_end, cur_end).
 class DerivedAtoms {
 public:
-    bool contains(const Atom& a) const { return known_.contains(a); }
+    [[nodiscard]] const Atom& operator[](AtomId id) const { return table_[id]; }
+    [[nodiscard]] bool derived(AtomId id) const { return derived_[static_cast<std::size_t>(id)]; }
 
-    // New atoms are staged and only appended to the per-predicate lists at
-    // round boundaries: match_from holds raw pointers into those lists, so
-    // appending mid-round would invalidate them. Returns true when the atom
-    // was not already known.
-    bool add(const Atom& a) {
-        if (!known_.insert(a).second) return false;
-        staging_.push_back(a);
+    // Interns `a` without deriving it.
+    AtomId intern(Atom&& a) {
+        auto [id, added] = table_.insert(std::move(a));
+        if (added) derived_.push_back(false);
+        return id;
+    }
+
+    // Interns and derives `a`. Newly derived atoms are staged and only
+    // appended to the per-predicate lists at round boundaries: match_from
+    // holds raw pointers into those lists, so appending mid-round would
+    // invalidate them. Returns the id and whether `a` was newly derived.
+    std::pair<AtomId, bool> derive(Atom&& a) {
+        AtomId id = intern(std::move(a));
+        if (derived(id)) return {id, false};
+        derived_[static_cast<std::size_t>(id)] = true;
+        staging_.push_back(id);
         ++total_;
-        return true;
+        return {id, true};
     }
 
     [[nodiscard]] std::size_t total() const { return total_; }
 
     struct Span {
-        const Atom* begin = nullptr;
-        const Atom* end = nullptr;
+        const AtomId* begin = nullptr;
+        const AtomId* end = nullptr;
     };
 
     enum class Range { Old, Delta, All };
@@ -60,14 +65,14 @@ public:
         auto it = lists_.find(pred.id());
         if (it == lists_.end()) return {};
         const auto& list = it->second;
-        const auto& b = boundary(pred.id());
+        const AtomId* ids = list.ids.data();
         switch (range) {
             case Range::Old:
-                return {list.data(), list.data() + b.old_end};
+                return {ids, ids + list.old_end};
             case Range::Delta:
-                return {list.data() + b.old_end, list.data() + b.cur_end};
+                return {ids + list.old_end, ids + list.cur_end};
             case Range::All:
-                return {list.data(), list.data() + b.cur_end};
+                return {ids, ids + list.cur_end};
         }
         return {};
     }
@@ -76,34 +81,32 @@ public:
     // old+delta, delta <- the flushed atoms. Returns true if the new delta
     // is non-empty for any predicate.
     bool advance_round() {
-        for (auto& a : staging_) lists_[a.predicate.id()].push_back(std::move(a));
+        for (AtomId id : staging_) lists_[table_[id].predicate.id()].ids.push_back(id);
         staging_.clear();
         bool any = false;
         for (auto& [pred, list] : lists_) {
-            auto& b = boundaries_[pred];
-            b.old_end = b.cur_end;
-            b.cur_end = list.size();
-            if (b.cur_end > b.old_end) any = true;
+            list.old_end = list.cur_end;
+            list.cur_end = list.ids.size();
+            if (list.cur_end > list.old_end) any = true;
         }
         return any;
     }
 
+    // Hands over the interned atoms, indexed by id; the table is empty
+    // afterwards, while derived() keeps answering.
+    std::vector<Atom> release_atoms() { return table_.release(); }
+
 private:
-    struct Boundary {
+    struct PredicateList {
+        std::vector<AtomId> ids;
         std::size_t old_end = 0;
         std::size_t cur_end = 0;
     };
 
-    const Boundary& boundary(std::uint32_t pred) const {
-        static const Boundary kEmpty;
-        auto it = boundaries_.find(pred);
-        return it == boundaries_.end() ? kEmpty : it->second;
-    }
-
-    std::unordered_set<Atom> known_;
-    std::vector<Atom> staging_;
-    std::unordered_map<std::uint32_t, std::vector<Atom>> lists_;
-    std::unordered_map<std::uint32_t, Boundary> boundaries_;
+    AtomTable table_;
+    std::vector<bool> derived_;  // by id
+    std::vector<AtomId> staging_;
+    std::unordered_map<std::uint32_t, PredicateList> lists_;
     std::size_t total_ = 0;
 };
 
@@ -112,8 +115,8 @@ public:
     GrounderImpl(const Program& program, const GroundingLimits& limits, util::Arena& arena)
         : program_(program),
           limits_(limits),
-          arena_(arena),
-          seen_rules_(0, std::hash<std::uint64_t>(), std::equal_to<>(), BucketAlloc(arena)),
+          body_ids_(util::ArenaAllocator<AtomId>(arena)),
+          pending_(util::ArenaAllocator<PendingRule>(arena)),
           builtin_done_(util::ArenaAllocator<char>(arena)) {}
 
     GroundProgram run() {
@@ -123,7 +126,7 @@ public:
 
     SeededGrounding run_seeded(const std::vector<Atom>& seeds) {
         collect_new_ = true;
-        for (const auto& a : seeds) derived_.add(a);
+        for (const auto& a : seeds) derived_.derive(Atom(a));
         instantiate();
         return finalize_seeded();
     }
@@ -132,7 +135,8 @@ private:
     void instantiate() {
         check_safety();
 
-        // Round 0: rules with no positive body literals fire exactly once.
+        // Round 0: rules with no positive body literals fire exactly once
+        // (matched_ is still empty, as their positive body is).
         for (const auto& rule : program_.rules()) {
             if (positive_count(rule) == 0) {
                 Subst subst;
@@ -148,6 +152,7 @@ private:
             ++rounds;
             for (const auto& rule : program_.rules()) {
                 int pcount = positive_count(rule);
+                matched_.resize(static_cast<std::size_t>(pcount));
                 for (int pivot = 0; pivot < pcount; ++pivot) {
                     Subst subst;
                     match_from(rule, 0, pivot, subst);
@@ -214,9 +219,12 @@ private:
                      : index < pivot ? DerivedAtoms::Range::Old
                                      : DerivedAtoms::Range::All;
         auto span = derived_.span(pattern.predicate, range);
-        for (const Atom* a = span.begin; a != span.end; ++a) {
+        for (const AtomId* id = span.begin; id != span.end; ++id) {
             std::size_t mark = subst.size();
-            if (match_atom(pattern, *a, subst)) {
+            // The matched atom is only read here: deriving below may grow
+            // the table and move its atoms.
+            if (match_atom(pattern, derived_[*id], subst)) {
+                matched_[static_cast<std::size_t>(index)] = *id;
                 match_from(rule, index + 1, pivot, subst);
             }
             subst.truncate(mark);
@@ -224,7 +232,8 @@ private:
     }
 
     // Evaluates builtins (with `V = ground-expr` acting as a binder),
-    // grounds negatives and the head, and emits the instance.
+    // grounds negatives and the head, and emits the instance. The positive
+    // body is the atoms match_from matched, in body order.
     void finish_instance(const Rule& rule, Subst& subst) {
         std::size_t mark = subst.size();
         if (!evaluate_builtins(rule.builtins, subst)) {
@@ -232,49 +241,78 @@ private:
             return;
         }
 
-        AtomRule pending;
+        PendingRule pending;
+        pending.body = static_cast<std::uint32_t>(body_ids_.size());
+        pending.npos = static_cast<std::uint32_t>(matched_.size());
+        body_ids_.insert(body_ids_.end(), matched_.begin(), matched_.end());
         for (const auto& l : rule.body) {
+            if (l.positive) continue;
             Atom ground_atom = apply_subst(l.atom, subst);
             if (!ground_atom.is_ground()) {
                 throw GroundingError("internal: non-ground literal after substitution in " + rule.to_string());
             }
-            (l.positive ? pending.pos : pending.neg).push_back(std::move(ground_atom));
+            body_ids_.push_back(derived_.intern(std::move(ground_atom)));
+            ++pending.nneg;
         }
         if (rule.head) {
             Atom head = apply_subst(*rule.head, subst);
             if (!head.is_ground()) {
                 throw GroundingError("internal: non-ground head after substitution in " + rule.to_string());
             }
-            if (derived_.add(head) && collect_new_) new_atoms_.push_back(head);
+            auto [id, added] = derived_.derive(std::move(head));
+            if (added && collect_new_) new_atoms_.push_back(id);
             if (derived_.total() > limits_.max_atoms) {
                 throw GroundingError("grounding exceeded max_atoms limit");
             }
-            pending.head = std::move(head);
+            pending.head = id;
         }
 
-        // Hash-bucketed dedupe (buckets live in the per-request arena):
-        // structurally identical instances collapse without building a key
-        // string per instance.
-        std::uint64_t h = instance_hash(pending);
-        auto [it, inserted] =
-            seen_rules_.try_emplace(h, Bucket(util::ArenaAllocator<std::uint32_t>(arena_)));
-        bool duplicate = false;
-        if (!inserted) {
-            for (std::uint32_t slot : it->second) {
-                if (pending_[slot] == pending) {
-                    duplicate = true;
-                    break;
-                }
-            }
-        }
-        if (!duplicate) {
-            it->second.push_back(static_cast<std::uint32_t>(pending_.size()));
-            pending_.push_back(std::move(pending));
+        // Structurally identical instances collapse: with atoms interned,
+        // an instance is equal to another exactly when their ids are.
+        auto next = static_cast<std::int32_t>(pending_.size());
+        bool inserted = seen_rules_
+                            .find_or_insert(instance_hash(pending), next,
+                                            [&](std::int32_t slot) {
+                                                return same_instance(
+                                                    pending_[static_cast<std::size_t>(slot)],
+                                                    pending);
+                                            })
+                            .second;
+        if (inserted) {
+            pending_.push_back(pending);
             if (pending_.size() > limits_.max_rules) {
                 throw GroundingError("grounding exceeded max_rules limit");
             }
+        } else {
+            body_ids_.resize(pending.body);
         }
         subst.truncate(mark);
+    }
+
+    [[nodiscard]] const AtomId* body(const PendingRule& rule) const {
+        return body_ids_.data() + rule.body;
+    }
+
+    // Order-sensitive hash of an instance; dedupe compares the ids on a
+    // hash match, so the hash only has to spread.
+    [[nodiscard]] std::uint64_t instance_hash(const PendingRule& rule) const {
+        std::uint64_t h = 1469598103934665603ull;
+        auto mix = [&h](std::uint64_t v) {
+            h ^= v;
+            h *= 1099511628211ull;
+        };
+        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(rule.head)) + 2);
+        mix(rule.npos);
+        const AtomId* ids = body(rule);
+        for (std::uint32_t i = 0; i < rule.npos + rule.nneg; ++i) {
+            mix(static_cast<std::uint64_t>(ids[i]));
+        }
+        return h;
+    }
+
+    [[nodiscard]] bool same_instance(const PendingRule& a, const PendingRule& b) const {
+        return a.head == b.head && a.npos == b.npos && a.nneg == b.nneg &&
+               std::equal(body(a), body(a) + a.npos + a.nneg, body(b));
     }
 
     bool evaluate_builtins(const std::vector<Comparison>& builtins, Subst& subst) {
@@ -311,24 +349,16 @@ private:
 
     GroundProgram finalize() {
         GroundProgram gp;
-        for (const auto& pending : pending_) {
-            GroundRule rule;
-            bool dropped = false;
-            for (const auto& a : pending.neg) {
-                if (!derived_.contains(a)) continue;  // atom underivable: "not a" trivially true
-                rule.neg.push_back(gp.intern(a));
-            }
-            for (const auto& a : pending.pos) {
-                if (!derived_.contains(a)) {  // defensive; cannot happen by construction
-                    dropped = true;
-                    break;
-                }
-                rule.pos.push_back(gp.intern(a));
-            }
-            if (dropped) continue;
-            if (pending.head) rule.head = gp.intern(*pending.head);
-            gp.add_rule(std::move(rule));
-        }
+        // Each table atom moves into `gp` on first use, so program ids are
+        // assigned in the order the rules below reach them.
+        std::vector<Atom> atoms = derived_.release_atoms();
+        std::vector<AtomId> to_program(atoms.size(), kNoAtom);
+        auto intern = [&](AtomId id) {
+            AtomId& mapped = to_program[static_cast<std::size_t>(id)];
+            if (mapped == kNoAtom) mapped = gp.intern(std::move(atoms[static_cast<std::size_t>(id)]));
+            return mapped;
+        };
+        for (const auto& pending : pending_) gp.add_rule(build<GroundRule>(pending, intern));
         return gp;
     }
 
@@ -337,20 +367,37 @@ private:
     // fragments whose derivable sets are closed — see GroundingMemo), but
     // rules stay as atoms so the caller can relocate their namespace.
     SeededGrounding finalize_seeded() {
+        std::vector<Atom> atoms = derived_.release_atoms();
+        auto atom = [&](AtomId id) -> Atom& { return atoms[static_cast<std::size_t>(id)]; };
         SeededGrounding out;
         out.rules.reserve(pending_.size());
-        for (auto& pending : pending_) {
-            AtomRule rule;
-            rule.head = std::move(pending.head);
-            rule.pos = std::move(pending.pos);
-            rule.neg.reserve(pending.neg.size());
-            for (auto& a : pending.neg) {
-                if (derived_.contains(a)) rule.neg.push_back(std::move(a));
-            }
-            out.rules.push_back(std::move(rule));
-        }
-        out.new_atoms = std::move(new_atoms_);
+        for (const auto& pending : pending_) out.rules.push_back(build<AtomRule>(pending, atom));
+        // New atoms are distinct and read for the last time: moved, not copied.
+        out.new_atoms.reserve(new_atoms_.size());
+        for (AtomId id : new_atoms_) out.new_atoms.push_back(std::move(atom(id)));
         return out;
+    }
+
+    // A pending instance as a GroundRule or AtomRule, its atoms given by
+    // `atom(id)`. A negative literal on an underivable atom is dropped
+    // ("not a" is trivially true). Atoms are visited negatives first, then
+    // positives, then the head; `finalize` assigns program ids in that
+    // order, which fixes the solver's answer-set enumeration order.
+    template <typename Out, typename AtomOf>
+    Out build(const PendingRule& pending, AtomOf& atom) const {
+        Out rule;
+        const AtomId* pos = body(pending);
+        const AtomId* neg = pos + pending.npos;
+        const AtomId* end = neg + pending.nneg;
+        auto derived = [&](AtomId id) { return derived_.derived(id); };
+        rule.neg.reserve(static_cast<std::size_t>(std::count_if(neg, end, derived)));
+        for (const AtomId* id = neg; id != end; ++id) {
+            if (derived(*id)) rule.neg.push_back(atom(*id));
+        }
+        rule.pos.reserve(pending.npos);
+        for (const AtomId* id = pos; id != neg; ++id) rule.pos.push_back(atom(*id));
+        if (pending.head != kNoHead) rule.head = atom(pending.head);
+        return rule;
     }
 
     // One flush per grounding keeps the instantiation loops atomics-free.
@@ -367,21 +414,18 @@ private:
         round_counter.add(rounds);
     }
 
-    using Bucket = util::ArenaVector<std::uint32_t>;
-    using BucketAlloc = util::ArenaAllocator<std::pair<const std::uint64_t, Bucket>>;
-
     const Program& program_;
     GroundingLimits limits_;
-    util::Arena& arena_;
     DerivedAtoms derived_;
-    std::vector<AtomRule> pending_;
-    // instance hash -> slots into pending_ with that hash
-    std::unordered_map<std::uint64_t, Bucket, std::hash<std::uint64_t>, std::equal_to<>,
-                       BucketAlloc>
-        seen_rules_;
+    // Ids of the positive literals matched so far, one per position.
+    std::vector<AtomId> matched_;
+    // Pending instances and their bodies live in the per-request arena.
+    util::ArenaVector<AtomId> body_ids_;
+    util::ArenaVector<PendingRule> pending_;
+    HashIndex seen_rules_;  // pending_ slots keyed by instance_hash
     util::ArenaVector<char> builtin_done_;
     bool collect_new_ = false;
-    std::vector<Atom> new_atoms_;
+    std::vector<AtomId> new_atoms_;  // newly derived heads, in derivation order
 };
 
 }  // namespace

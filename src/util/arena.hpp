@@ -1,9 +1,10 @@
 // Bump-pointer arena allocator (rspamd mem_pool idiom): allocations come
 // from large chunks, individual objects are never freed, and `reset()`
-// recycles every chunk for the next request. The grounder routes its
-// per-request scratch (pending-rule buffers, dedupe buckets, match spans)
-// through one thread-local arena so a cache-miss grounding does O(chunks)
-// mallocs instead of O(atoms).
+// recycles every chunk for the next request. The grounder keeps its
+// per-request scratch (pending rule instances, their body atom ids, builtin
+// evaluation flags) in one thread-local arena, so once the arena has grown
+// to its high-water mark that scratch costs no malloc. Ground atoms do not
+// live here: each is stored once in an asp::AtomTable (DESIGN.md §13).
 //
 // Lifetime rule (DESIGN.md §13): anything that outlives the request —
 // memo fragments, GroundProgram contents, interned symbols — must be
