@@ -24,6 +24,7 @@
 #include "asp/solver.hpp"
 #include "obs/lockprof.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "scenarios/cav/cav.hpp"
 
 using namespace agenp;
@@ -270,6 +271,21 @@ void BM_LintAsg(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_LintAsg);
+
+// The telemetry's own cost: one metered obs::Phase with no trace, i.e. two
+// clock reads and one observation into its `<name>.time_us` histogram.
+// Four threads share one site, as serve's workers share each layer's.
+void BM_PhaseMetered(benchmark::State& state) {
+    static const obs::PhaseSite kSite("bench.phase_metered");
+    if (!obs::metrics_enabled()) {
+        state.SkipWithError("metrics are off (AGENP_METRICS=off)");
+        return;
+    }
+    for (auto _ : state) {
+        obs::Phase phase(kSite);
+    }
+}
+BENCHMARK(BM_PhaseMetered)->Threads(1)->Threads(4);
 
 }  // namespace
 

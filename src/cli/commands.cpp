@@ -25,7 +25,6 @@
 #include "asp/parser.hpp"
 #include "asp/solver.hpp"
 #include "obs/build.hpp"
-#include "obs/costtable.hpp"
 #include "obs/export/http.hpp"
 #include "obs/export/push.hpp"
 #include "obs/lockprof.hpp"
@@ -515,10 +514,10 @@ int cmd_serve(const ServeCliOptions& cli, std::istream& in, std::ostream& out) {
     }
 
     // Windowed telemetry: one bucket per second over the process registry,
-    // shared by /statz, the exposition, and the reporter. The ticker also
-    // advances the cost table's frequency EWMA.
+    // shared by /statz, the exposition (phase costs included), and the
+    // reporter.
     obs::RollingWindow window(obs::metrics());
-    obs::WindowTicker window_ticker(window, [] { obs::costs().tick(); });
+    obs::WindowTicker window_ticker(window);
 
     // Continuous profiling (--prof-hz): sample for the life of the serve
     // process; /profz and !prof stop share the same session.

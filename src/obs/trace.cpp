@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 
-#include "obs/costtable.hpp"
 #include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
 #include "util/mutex.hpp"
@@ -120,8 +119,7 @@ TraceRecorder& tracer() {
 
 PhaseSite::PhaseSite(std::string_view name)
     : name_(name),
-      time_us_(metrics().histogram(name_ + ".time_us")),
-      cost_(costs().cell(name_)) {}
+      time_us_(metrics().histogram(name_ + ".time_us")) {}
 
 Phase::Phase(const PhaseSite& site, std::uint64_t* elapsed_us)
     : site_(site),
@@ -143,10 +141,7 @@ Phase::~Phase() {
     std::uint64_t us = end_ns / 1000 - start_ns_ / 1000;
     if (elapsed_us_ != nullptr) *elapsed_us_ = us;
     if (request_ != nullptr) request_->end_span(span_, end_ns);
-    if (metered_) {
-        site_.time_us_.observe(us);
-        site_.cost_.observe(us);
-    }
+    if (metered_) site_.time_us_.observe(us);
     if (!process_) return;
     std::uint64_t dur_ns = end_ns - start_ns_;
     std::uint64_t child_ns = t_child_ns.empty() ? 0 : t_child_ns.back();

@@ -13,8 +13,9 @@
 //   - the process-wide TraceRecorder below, when it is enabled;
 //   - the request trace installed on this thread (obs::current_trace()),
 //     as a span nested under the innermost open one;
-//   - the histogram `<name>.time_us` and the cost check `<name>`
-//     (obs/costtable), when metrics are enabled.
+//   - the histogram `<name>.time_us`, when metrics are enabled. The
+//     per-check cost ranking (obs::phase_costs in obs/window.hpp) is read
+//     from that histogram's windowed delta, so it needs no write of its own.
 //
 // The TraceRecorder keeps one complete ("ph":"X") event per phase,
 // exported as Chrome trace-event JSON (open in chrome://tracing or
@@ -30,7 +31,6 @@
 
 namespace agenp::obs {
 
-class CostCell;
 class Histogram;
 class TraceContext;
 
@@ -83,8 +83,8 @@ void append_chrome_event(std::string& out, bool& first, std::string_view name,
                          std::uint64_t ts_us, std::uint64_t dur_us, std::uint64_t tid,
                          std::string_view args = {});
 
-// A phase's registration: its name plus the histogram and cost cell it
-// feeds. Construct once per timing site, as a function-local static.
+// A phase's registration: its name plus the histogram it feeds. Construct
+// once per timing site, as a function-local static.
 class PhaseSite {
 public:
     explicit PhaseSite(std::string_view name);
@@ -95,7 +95,6 @@ private:
     friend class Phase;
     std::string name_;
     Histogram& time_us_;  // <name>.time_us
-    CostCell& cost_;      // cost check <name>
 };
 
 // Times one pass through a site (see the header comment). With

@@ -135,14 +135,38 @@ WindowDelta RollingWindow::window_locked(std::chrono::seconds span,
     return delta;
 }
 
+std::vector<PhaseCost> phase_costs(const WindowDelta& delta) {
+    constexpr std::string_view kSuffix = ".time_us";
+    std::vector<PhaseCost> costs;
+    for (const auto& [key, snap] : delta.histograms) {
+        if (!key.ends_with(kSuffix)) continue;
+        PhaseCost cost;
+        cost.check = key.substr(0, key.size() - kSuffix.size());
+        cost.calls = snap.count;
+        cost.total_us = snap.sum;
+        if (cost.calls > 0) {
+            cost.mean_us = static_cast<double>(cost.total_us) / static_cast<double>(cost.calls);
+        }
+        if (delta.seconds > 0.0) {
+            cost.hz = static_cast<double>(cost.calls) / delta.seconds;
+            cost.us_per_s = static_cast<double>(cost.total_us) / delta.seconds;
+        }
+        costs.push_back(std::move(cost));
+    }
+    std::sort(costs.begin(), costs.end(), [](const PhaseCost& a, const PhaseCost& b) {
+        return a.us_per_s != b.us_per_s ? a.us_per_s > b.us_per_s : a.check < b.check;
+    });
+    return costs;
+}
+
 std::size_t RollingWindow::bucket_count() const {
     util::MutexLock lock(mu_);
     return static_cast<std::size_t>(
         std::count_if(ring_.begin(), ring_.end(), [](const Bucket& b) { return b.valid; }));
 }
 
-WindowTicker::WindowTicker(RollingWindow& window, std::function<void()> on_tick)
-    : window_(window), on_tick_(std::move(on_tick)), interval_(std::chrono::seconds(1)) {
+WindowTicker::WindowTicker(RollingWindow& window)
+    : window_(window), interval_(std::chrono::seconds(1)) {
     window_.tick();  // bucket 0: the baseline every warm-up window starts from
     thread_ = std::thread([this] {
         while (!stop_.load(std::memory_order_acquire)) {
@@ -158,7 +182,6 @@ WindowTicker::WindowTicker(RollingWindow& window, std::function<void()> on_tick)
             }
             if (stop_.load(std::memory_order_acquire)) break;
             window_.tick();
-            if (on_tick_) on_tick_();
         }
     });
 }

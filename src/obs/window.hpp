@@ -12,13 +12,17 @@
 // existing quantile() math yields windowed p50/p95/p99 for free.
 //
 // The cumulative MetricsSnapshot shape is unchanged — windows are a read
-// layer on top, not a new instrument kind.
+// layer on top, not a new instrument kind. The per-check cost ranking is
+// one such read: every obs::Phase feeds only its histogram
+// `<check>.time_us` (obs/trace.hpp), and phase_costs turns that
+// histogram's windowed delta into calls, mean cost, frequency and
+// wall-time share.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -88,19 +92,34 @@ private:
     std::size_t head_ GUARDED_BY(mu_) = 0;  // next slot to write
 };
 
-// Background thread that ticks a RollingWindow once per bucket interval
-// and runs an optional extra callback (serve uses it to advance the cost
-// table's frequency EWMA). Joined on destruction.
+// One phase's cost over a window, from the delta of its `<check>.time_us`
+// histogram: calls and total_us are the delta's count and sum, mean_us is
+// total_us / calls, hz and us_per_s are calls and total_us per covered
+// second (the wall-time share). Rates are 0 when the window covers no time.
+struct PhaseCost {
+    std::string check;
+    std::uint64_t calls = 0;
+    std::uint64_t total_us = 0;
+    double mean_us = 0.0;
+    double hz = 0.0;
+    double us_per_s = 0.0;
+};
+
+// Every `<check>.time_us` histogram in `delta`, idle ones included at zero
+// rate, sorted by us_per_s descending, then by check.
+[[nodiscard]] std::vector<PhaseCost> phase_costs(const WindowDelta& delta);
+
+// Background thread that ticks a RollingWindow once per bucket interval.
+// Joined on destruction.
 class WindowTicker {
 public:
-    explicit WindowTicker(RollingWindow& window, std::function<void()> on_tick = {});
+    explicit WindowTicker(RollingWindow& window);
     ~WindowTicker();
     WindowTicker(const WindowTicker&) = delete;
     WindowTicker& operator=(const WindowTicker&) = delete;
 
 private:
     RollingWindow& window_;
-    std::function<void()> on_tick_;
     std::chrono::milliseconds interval_;
     // stop_ is atomic so the ticker loop can poll it without the lock;
     // the store still happens under mu_ so a concurrent check-then-wait

@@ -2,8 +2,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
-#include "obs/costtable.hpp"
 #include "obs/lockprof.hpp"
 #include "obs/metrics.hpp"
 
@@ -15,6 +15,9 @@ namespace {
 constexpr std::chrono::seconds kWindowSpans[] = {std::chrono::seconds(10),
                                                  std::chrono::seconds(60),
                                                  std::chrono::seconds(300)};
+
+// The span /statz and the exposition rank phase costs over.
+constexpr std::chrono::seconds kPhaseCostSpan{10};
 
 const char* span_name(std::chrono::seconds span) {
     switch (span.count()) {
@@ -51,6 +54,23 @@ std::string store_status_json(const store::StoreStatus& status) {
     out += ",\"wal_replayed\":" + std::to_string(status.wal_replayed);
     out += ",\"wal_discarded_bytes\":" + std::to_string(status.wal_discarded_bytes);
     out += "}";
+    return out;
+}
+
+// [{"check":"asp.solve","calls":..,"total_us":..,"mean_us":..,"hz":..,"us_per_s":..},...]
+std::string phase_costs_json(const std::vector<obs::PhaseCost>& costs) {
+    std::string out = "[";
+    char buf[128];
+    for (const obs::PhaseCost& cost : costs) {
+        if (out.size() > 1) out += ',';
+        out += "{\"check\":\"" + obs::json_escape(cost.check) + "\"";
+        out += ",\"calls\":" + std::to_string(cost.calls);
+        out += ",\"total_us\":" + std::to_string(cost.total_us);
+        std::snprintf(buf, sizeof(buf), ",\"mean_us\":%.2f,\"hz\":%.3f,\"us_per_s\":%.2f}",
+                      cost.mean_us, cost.hz, cost.us_per_s);
+        out += buf;
+    }
+    out += "]";
     return out;
 }
 
@@ -143,7 +163,7 @@ std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
                    "\":" + windowed_serve_stats_json(windowed_serve_stats(*window, span));
         }
         out += "}";
-        out += ",\"costs\":" + obs::costs().render_json();
+        out += ",\"costs\":" + phase_costs_json(obs::phase_costs(window->window(kPhaseCostSpan)));
     }
     out += "}";
     return out;
@@ -241,16 +261,14 @@ obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
             exposition.add_gauge_d("window.latency_p99_us", labels, ws.p99_us,
                                    "Windowed p99 request latency by span");
         }
-        for (const obs::CostEntry& entry : obs::costs().snapshot()) {
-            obs::MetricLabels labels{{"check", entry.check}};
-            exposition.add_counter("cost.calls", labels, entry.calls,
-                                   "Observed calls by named check");
-            exposition.add_gauge_d("cost.ewma_us", labels, entry.ewma_us,
-                                   "EWMA per-call cost in microseconds by named check");
-            exposition.add_gauge_d("cost.frequency_hz", labels, entry.frequency_hz,
-                                   "EWMA call frequency by named check");
-            exposition.add_gauge_d("cost.us_per_s", labels, entry.us_per_s,
-                                   "Expected wall-time share (ewma_us x hz) by named check");
+        for (const obs::PhaseCost& cost : obs::phase_costs(window->window(kPhaseCostSpan))) {
+            obs::MetricLabels labels{{"check", cost.check}};
+            exposition.add_gauge_d("cost.mean_us", labels, cost.mean_us,
+                                   "Mean per-call cost in microseconds over 10s by named check");
+            exposition.add_gauge_d("cost.frequency_hz", labels, cost.hz,
+                                   "Call frequency over 10s by named check");
+            exposition.add_gauge_d("cost.us_per_s", labels, cost.us_per_s,
+                                   "Wall-time share (us per second) over 10s by named check");
         }
     }
     return exposition;

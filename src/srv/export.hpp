@@ -50,8 +50,9 @@ std::string windowed_serve_stats_json(const WindowedServeStats& stats);
 // StateStore attached (`--state-dir`) a "store" object rides along:
 // snapshot count/age/bytes/entries, WAL growth, and what restore() found.
 // With a rolling window attached, a "window" object with 10s/60s/300s
-// spans and a "costs" array (the per-check cost table) ride along too —
-// all additions are new keys; the original key set is unchanged.
+// spans and a "costs" array (obs::phase_costs over the 10s window of the
+// phase histograms) ride along too — all additions are new keys; the
+// original key set is unchanged.
 std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
                              const store::StateStore* state = nullptr,
                              const obs::RollingWindow* window = nullptr);
@@ -68,8 +69,10 @@ std::string healthz_json(const AmsRouter& router, bool draining);
 // the process registry as agenp_store_*.
 // With a rolling window attached, the exposition additionally carries the
 // agenp_window_* families (requests_per_s, cache_hit_rate, latency
-// quantiles, labeled by span) and the agenp_cost_* families (per-check
-// calls, EWMA cost, frequency, us/s share from obs::costs()).
+// quantiles, labeled by span) and the agenp_cost_* gauges (per-check
+// mean cost, frequency and us/s share over the 10s window, from
+// obs::phase_costs; call counts are the agenp_<check>_time_us_count
+// series already in the registry).
 obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
                                  const store::StateStore* state = nullptr,
                                  const obs::RollingWindow* window = nullptr);

@@ -15,7 +15,11 @@ void FlightRecorder::record(const FlightRecord& record) {
     Slot& slot = slots_[seq & mask_];
     // Odd = write in progress. 2*seq is unique per write, so a reader can
     // never confuse two generations of the same slot.
-    slot.seq.store(2 * seq + 1, std::memory_order_release);
+    slot.seq.store(2 * seq + 1, std::memory_order_relaxed);
+    // Storing the mark with release would order only what precedes it;
+    // the fence keeps the payload stores below from becoming visible
+    // before the odd mark.
+    std::atomic_thread_fence(std::memory_order_release);
     slot.id.store(record.id, std::memory_order_relaxed);
     slot.client.store(record.client, std::memory_order_relaxed);
     slot.model_version.store(record.model_version, std::memory_order_relaxed);
@@ -42,7 +46,10 @@ std::vector<FlightRecord> FlightRecorder::snapshot() const {
         r.total_us = slot.total_us.load(std::memory_order_relaxed);
         r.outcome = slot.outcome.load(std::memory_order_relaxed);
         r.cache_hit = slot.cache_hit.load(std::memory_order_relaxed);
-        if (slot.seq.load(std::memory_order_acquire) != before) continue;  // torn
+        // Pairs with record()'s fence: no payload load above may move past
+        // the re-read, so an unchanged even sequence means no write overlapped.
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (slot.seq.load(std::memory_order_relaxed) != before) continue;  // torn
         out.push_back(r);
     }
     std::sort(out.begin(), out.end(),

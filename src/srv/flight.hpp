@@ -9,12 +9,19 @@
 //
 // Concurrency: record() is lock-free. Each slot is a tiny seqlock built
 // entirely from atomics: the writer claims a sequence number with one
-// fetch_add, marks the slot odd (write in progress), stores the payload
-// with relaxed atomics, then publishes by storing the even sequence. A
-// reader that observes an odd or changed sequence discards the slot
-// instead of blocking. All payload fields are std::atomic, so there is no
-// data race for TSan to object to — the sequence check only guards
-// against mixing fields of two different records.
+// fetch_add, marks the slot odd (write in progress), issues a release
+// fence, stores the payload with relaxed atomics, then publishes by
+// storing the even sequence with release. A reader loads the sequence
+// with acquire, loads the payload relaxed, issues an acquire fence and
+// re-reads the sequence; an odd or changed sequence means the slot is
+// discarded instead of blocking on the writer. The two fences are the
+// ones a seqlock needs under the C++ memory model (Boehm, "Can Seqlocks
+// Get Along with Programming Language Memory Models?", MSPC 2012): a
+// release store alone would let payload stores become visible before the
+// odd mark, and an acquire re-read alone would let payload loads move
+// after it. All payload fields are std::atomic, so there is no data race
+// for TSan to object to — the sequence check only guards against mixing
+// fields of two different records.
 #pragma once
 
 #include <atomic>

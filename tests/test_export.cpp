@@ -469,7 +469,7 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     for (int i = 0; i < 20; ++i) input += "do patrol\n";
     ASSERT_EQ(::write(fds[1], input.data(), input.size()), static_cast<ssize_t>(input.size()));
     // Wait until the exporter sees all 20 requests: the latency histogram
-    // and the cost-table cells only exist once traffic was processed, so
+    // and the phase histograms only see traffic once it was processed, so
     // scraping before that races (notably under sanitizer slowdown).
     for (int i = 0; i < 2000; ++i) {
         auto probe = get(metrics_port.load(), "/statz");
@@ -498,11 +498,11 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     EXPECT_NE(metrics->body.find("agenp_srv_draining 0"), std::string::npos);
     EXPECT_NE(metrics->body.find("# TYPE agenp_srv_latency_us histogram"), std::string::npos);
 
-    // Windowed families and the cost table ride on the same exposition.
+    // Windowed families and the phase costs ride on the same exposition.
     EXPECT_NE(metrics->body.find("agenp_window_requests_per_s"), std::string::npos);
     EXPECT_NE(metrics->body.find("agenp_window_latency_p95_us"), std::string::npos);
     EXPECT_NE(metrics->body.find("span=\"60s\""), std::string::npos);
-    EXPECT_NE(metrics->body.find("agenp_cost_ewma_us"), std::string::npos);
+    EXPECT_NE(metrics->body.find("agenp_cost_mean_us"), std::string::npos);
     EXPECT_NE(metrics->body.find("check=\"srv.cache_probe\""), std::string::npos);
 
     // Grounding-memo gauges/counters (asg/memo.hpp) export alongside the

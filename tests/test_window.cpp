@@ -1,7 +1,8 @@
-// RollingWindow + CostTable: bucket rotation across ring boundaries,
-// empty-window quantiles, window-vs-cumulative consistency, concurrent
-// writers (exercised under TSan in CI), the EWMA cost/frequency math, and
-// the phases that feed the process-wide cost table.
+// RollingWindow: bucket rotation across ring boundaries, empty-window
+// quantiles, window-vs-cumulative consistency, concurrent writers
+// (exercised under TSan in CI), the per-check cost ranking derived from
+// windowed `<check>.time_us` deltas, and the phases that feed those
+// histograms.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/costtable.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/window.hpp"
@@ -233,9 +233,8 @@ TEST(RollingWindow, ConcurrentWritersAndTickers) {
 TEST(WindowTicker, TicksAndRunsCallback) {
     WindowFixture f;
     obs::RollingWindow window(f.registry, f.options);
-    std::atomic<int> callbacks{0};
     {
-        obs::WindowTicker ticker(window, [&] { callbacks.fetch_add(1); });
+        obs::WindowTicker ticker(window);
         // Constructor tick lands immediately; destructor joins cleanly
         // even when no interval has elapsed.
         EXPECT_GE(window.bucket_count(), 1u);
@@ -243,100 +242,147 @@ TEST(WindowTicker, TicksAndRunsCallback) {
     SUCCEED();
 }
 
-TEST(CostTable, ObserveDrivesEwmaTowardSteadyCost) {
-    obs::CostTable table;
-    obs::CostCell& cell = table.cell("x.check");
-    cell.observe(100);
-    EXPECT_DOUBLE_EQ(cell.ewma_us(), 100.0);  // first sample seeds the EWMA
-    for (int i = 0; i < 50; ++i) cell.observe(200);
-    EXPECT_NEAR(cell.ewma_us(), 200.0, 1.0);
-    EXPECT_EQ(cell.calls(), 51u);
-    EXPECT_EQ(cell.total_us(), 100u + 50u * 200u);
-}
+namespace {
 
-TEST(CostTable, SameNameReturnsSameCell) {
-    obs::CostTable table;
-    EXPECT_EQ(&table.cell("a"), &table.cell("a"));
-    EXPECT_NE(&table.cell("a"), &table.cell("b"));
-}
-
-TEST(CostTable, SnapshotSortsByWallTimeShare) {
-    obs::CostTable table;
-    // Frequent+expensive dominates; rare+cheap trails.
-    obs::CostCell& hot = table.cell("hot");
-    obs::CostCell& cold = table.cell("cold");
-    table.tick();  // establish a tick baseline
-    for (int i = 0; i < 100; ++i) hot.observe(500);
-    cold.observe(10);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    table.tick();  // folds the call deltas into the frequency EWMA
-    std::vector<obs::CostEntry> entries = table.snapshot();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].check, "hot");
-    EXPECT_GT(entries[0].frequency_hz, entries[1].frequency_hz);
-    EXPECT_GT(entries[0].us_per_s, entries[1].us_per_s);
-}
-
-TEST(CostTable, RenderJsonListsEveryCheck) {
-    obs::CostTable table;
-    table.cell("asp.solve").observe(3000);
-    table.cell("cache_probe").observe(2);
-    std::string json = table.render_json();
-    EXPECT_NE(json.find("\"check\":\"asp.solve\""), std::string::npos);
-    EXPECT_NE(json.find("\"check\":\"cache_probe\""), std::string::npos);
-    EXPECT_NE(json.find("\"ewma_us\":3000.00"), std::string::npos);
-    std::string text = table.render_text();
-    EXPECT_NE(text.find("asp.solve"), std::string::npos);
-}
-
-TEST(CostTable, ResetZeroesCells) {
-    obs::CostTable table;
-    obs::CostCell& cell = table.cell("x");
-    cell.observe(100);
-    table.tick();
-    table.reset();
-    EXPECT_EQ(cell.calls(), 0u);
-    EXPECT_DOUBLE_EQ(cell.ewma_us(), 0.0);
-    EXPECT_DOUBLE_EQ(cell.frequency_hz(), 0.0);
-}
-
-TEST(CostTable, ConcurrentObserversStayConsistent) {
-    obs::CostTable table;
-    obs::CostCell& cell = table.cell("contended");
-    std::vector<std::thread> threads;
-    threads.reserve(4);
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&] {
-            for (int i = 0; i < 10000; ++i) cell.observe(10);
-        });
+const obs::PhaseCost* find_cost(const std::vector<obs::PhaseCost>& costs,
+                                const std::string& check) {
+    for (const obs::PhaseCost& cost : costs) {
+        if (cost.check == check) return &cost;
     }
-    std::thread ticker([&] {
-        for (int i = 0; i < 100; ++i) table.tick();
-    });
-    for (std::thread& t : threads) t.join();
-    ticker.join();
-    EXPECT_EQ(cell.calls(), 40000u);
-    EXPECT_EQ(cell.total_us(), 400000u);
-    EXPECT_NEAR(cell.ewma_us(), 10.0, 0.01);
+    return nullptr;
 }
 
-TEST(Phase, ObservesElapsedTimeIntoItsCostCell) {
+}  // namespace
+
+TEST(PhaseCosts, EntriesEqualHistogramDeltaOverWindowSeconds) {
+    WindowFixture f;
+    obs::RollingWindow window(f.registry, f.options);
+    obs::Histogram& solve = f.registry.histogram("asp.solve.time_us");
+    obs::Histogram& probe = f.registry.histogram("srv.cache_probe.time_us");
+    // Observations before the base bucket are outside the window.
+    for (int i = 0; i < 7; ++i) solve.observe(9000);
+    probe.observe(1);
+    window.tick_at(0);
+    for (int i = 0; i < 20; ++i) solve.observe(300);  // 20 calls, 6000 us
+    for (int i = 0; i < 400; ++i) probe.observe(2);   // 400 calls, 800 us
+    probe.observe(5);                                  // 401 calls, 805 us
+    obs::WindowDelta delta = window.window_at(seconds(10), 10000);
+    ASSERT_DOUBLE_EQ(delta.seconds, 10.0);
+    std::vector<obs::PhaseCost> costs = obs::phase_costs(delta);
+    ASSERT_EQ(costs.size(), 2u);
+
+    const obs::PhaseCost* s = find_cost(costs, "asp.solve");
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->calls, 20u);
+    EXPECT_EQ(s->total_us, 6000u);
+    EXPECT_DOUBLE_EQ(s->mean_us, 300.0);
+    EXPECT_DOUBLE_EQ(s->hz, 2.0);
+    EXPECT_DOUBLE_EQ(s->us_per_s, 600.0);
+
+    const obs::PhaseCost* p = find_cost(costs, "srv.cache_probe");
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->calls, 401u);
+    EXPECT_EQ(p->total_us, 805u);
+    EXPECT_DOUBLE_EQ(p->mean_us, 805.0 / 401.0);
+    EXPECT_DOUBLE_EQ(p->hz, 40.1);
+    EXPECT_DOUBLE_EQ(p->us_per_s, 80.5);
+
+    // The same numbers as the window's own histogram delta.
+    const obs::Histogram::Snapshot* d = delta.histogram("asp.solve.time_us");
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(s->calls, d->count);
+    EXPECT_EQ(s->total_us, d->sum);
+}
+
+TEST(PhaseCosts, SortedByWallTimeShareThenName) {
+    WindowFixture f;
+    obs::RollingWindow window(f.registry, f.options);
+    // Frequent and cheap outranks rare and expensive when it uses more of
+    // the second; equal shares fall back to name order.
+    obs::Histogram& rare = f.registry.histogram("z.rare.time_us");
+    obs::Histogram& frequent = f.registry.histogram("y.frequent.time_us");
+    obs::Histogram& tie_b = f.registry.histogram("b.tie.time_us");
+    obs::Histogram& tie_a = f.registry.histogram("a.tie.time_us");
+    window.tick_at(0);
+    rare.observe(1000);                                  // 100 us/s
+    for (int i = 0; i < 500; ++i) frequent.observe(4);   // 200 us/s
+    tie_b.observe(50);                                   // 5 us/s
+    tie_a.observe(50);                                   // 5 us/s
+    std::vector<obs::PhaseCost> costs = obs::phase_costs(window.window_at(seconds(10), 10000));
+    ASSERT_EQ(costs.size(), 4u);
+    EXPECT_EQ(costs[0].check, "y.frequent");
+    EXPECT_EQ(costs[1].check, "z.rare");
+    EXPECT_EQ(costs[2].check, "a.tie");
+    EXPECT_EQ(costs[3].check, "b.tie");
+    for (std::size_t i = 1; i < costs.size(); ++i) {
+        EXPECT_GE(costs[i - 1].us_per_s, costs[i].us_per_s);
+    }
+}
+
+TEST(PhaseCosts, IdleCheckListedAtZeroRate) {
+    WindowFixture f;
+    obs::RollingWindow window(f.registry, f.options);
+    obs::Histogram& busy = f.registry.histogram("w.busy.time_us");
+    obs::Histogram& idle = f.registry.histogram("w.idle.time_us");
+    for (int i = 0; i < 30; ++i) idle.observe(77);  // all before the window
+    window.tick_at(0);
+    busy.observe(10);
+    std::vector<obs::PhaseCost> costs = obs::phase_costs(window.window_at(seconds(10), 10000));
+    const obs::PhaseCost* cost = find_cost(costs, "w.idle");
+    ASSERT_NE(cost, nullptr);
+    EXPECT_EQ(cost->calls, 0u);
+    EXPECT_EQ(cost->total_us, 0u);
+    EXPECT_DOUBLE_EQ(cost->mean_us, 0.0);
+    EXPECT_DOUBLE_EQ(cost->hz, 0.0);
+    EXPECT_DOUBLE_EQ(cost->us_per_s, 0.0);
+    EXPECT_EQ(costs.back().check, "w.idle");
+}
+
+TEST(PhaseCosts, ListsOnlyTimeUsHistograms) {
+    WindowFixture f;
+    obs::RollingWindow window(f.registry, f.options);
+    window.tick_at(0);
+    f.registry.histogram("w.phase.time_us").observe(10);
+    f.registry.histogram("srv.latency_us").observe(10);
+    f.registry.histogram("w.time_us_total").observe(10);
+    f.registry.counter("w.counter.time_us").add(1);
+    std::vector<obs::PhaseCost> costs = obs::phase_costs(window.window_at(seconds(10), 10000));
+    ASSERT_EQ(costs.size(), 1u);
+    EXPECT_EQ(costs[0].check, "w.phase");
+}
+
+TEST(PhaseCosts, EmptyWindowHasNoRates) {
+    WindowFixture f;
+    obs::RollingWindow window(f.registry, f.options);
+    f.registry.histogram("w.phase.time_us").observe(10);
+    // No tick yet: the window covers no time.
+    std::vector<obs::PhaseCost> costs = obs::phase_costs(window.window_at(seconds(10), 1000));
+    EXPECT_TRUE(costs.empty());
+    window.tick_at(1000);
+    costs = obs::phase_costs(window.window_at(seconds(10), 1000));
+    ASSERT_EQ(costs.size(), 1u);
+    EXPECT_EQ(costs[0].calls, 0u);
+    EXPECT_DOUBLE_EQ(costs[0].hz, 0.0);
+    EXPECT_DOUBLE_EQ(costs[0].us_per_s, 0.0);
+}
+
+TEST(Phase, ObservesElapsedTimeIntoItsHistogram) {
     obs::PhaseSite site("test.window.timed");
-    obs::CostCell& cell = obs::costs().cell("test.window.timed");
-    std::uint64_t calls = cell.calls();
-    std::uint64_t total = cell.total_us();
+    obs::Histogram& hist = obs::metrics().histogram("test.window.timed.time_us");
+    obs::Histogram::Snapshot before = hist.snapshot();
     {
         obs::Phase phase(site);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    EXPECT_EQ(cell.calls(), calls + 1);
-    EXPECT_GE(cell.total_us() - total, 1000u);
+    obs::Histogram::Snapshot after = hist.snapshot();
+    EXPECT_EQ(after.count, before.count + 1);
+    EXPECT_GE(after.sum - before.sum, 1000u);
 }
 
 TEST(Phase, DisabledMetricsSkipObservation) {
     obs::PhaseSite site("test.window.gated");
-    obs::CostCell& cell = obs::costs().cell("test.window.gated");
-    std::uint64_t calls = cell.calls();
+    obs::Histogram& hist = obs::metrics().histogram("test.window.gated.time_us");
+    std::uint64_t calls = hist.snapshot().count;
     std::uint64_t elapsed = 0;
     obs::set_metrics_enabled(false);
     {
@@ -348,16 +394,17 @@ TEST(Phase, DisabledMetricsSkipObservation) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     obs::set_metrics_enabled(true);
-    EXPECT_EQ(cell.calls(), calls);
+    EXPECT_EQ(hist.snapshot().count, calls);
     EXPECT_GE(elapsed, 1000u);
 }
 
 TEST(Phase, ConcurrentPhasesFeedOneSiteConsistently) {
     static const obs::PhaseSite site("test.window.contended");
-    obs::CostCell& cell = obs::costs().cell("test.window.contended");
     obs::Histogram& hist = obs::metrics().histogram("test.window.contended.time_us");
-    std::uint64_t calls = cell.calls();
-    std::uint64_t total = cell.total_us();
+    // A window over the process registry, ticked and read while the phases
+    // run, the way serve's WindowTicker and /statz do.
+    obs::RollingWindow window(obs::metrics(), obs::WindowOptions{});
+    window.tick();
     obs::Histogram::Snapshot before = hist.snapshot();
     std::vector<std::thread> threads;
     threads.reserve(4);
@@ -366,13 +413,19 @@ TEST(Phase, ConcurrentPhasesFeedOneSiteConsistently) {
             for (int i = 0; i < 2000; ++i) obs::Phase phase(site);
         });
     }
-    std::thread ticker([] {
-        for (int i = 0; i < 100; ++i) obs::costs().tick();
+    std::thread ticker([&window] {
+        for (int i = 0; i < 100; ++i) window.tick();
     });
+    for (int i = 0; i < 20; ++i) (void)obs::phase_costs(window.window(seconds(10)));
     for (std::thread& t : threads) t.join();
     ticker.join();
     obs::Histogram::Snapshot after = hist.snapshot();
-    EXPECT_EQ(cell.calls() - calls, 8000u);
     EXPECT_EQ(after.count - before.count, 8000u);
-    EXPECT_EQ(after.sum - before.sum, cell.total_us() - total);
+    // All ticks fall inside 10s, so the window still subtracts the first
+    // bucket, taken before any phase ran: its cost entry is that delta.
+    std::vector<obs::PhaseCost> costs = obs::phase_costs(window.window(seconds(10)));
+    const obs::PhaseCost* cost = find_cost(costs, "test.window.contended");
+    ASSERT_NE(cost, nullptr);
+    EXPECT_EQ(cost->calls, 8000u);
+    EXPECT_EQ(cost->total_us, after.sum - before.sum);
 }
